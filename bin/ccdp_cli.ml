@@ -126,6 +126,19 @@ let jobs_arg =
 
 let resolve_jobs jobs = Ccdp_exec.Pool.resolve_jobs ?jobs ()
 
+(* a wrong answer is a failed run, for scripts and CI as much as for the
+   reader of the report *)
+let verify_failed_doc =
+  "when $(b,--verify) is on and the final memory differs from sequential \
+   execution (the report says $(i,verification FAILED))"
+
+let exits_1 doc = Cmd.Exit.info 1 ~doc :: Cmd.Exit.defaults
+
+let print_verification program r =
+  let v = Ccdp_runtime.Verify.against_sequential program ~init:(fun _ -> ()) r in
+  Format.printf "%a@." Ccdp_runtime.Verify.pp_report v;
+  if not v.Ccdp_runtime.Verify.ok then exit 1
+
 (* ---- commands ---- *)
 
 let list_cmd =
@@ -160,11 +173,13 @@ let run_cmd =
     in
     Format.printf "%a@." Ccdp_runtime.Interp.pp_result r;
     Format.printf "%a@." Ccdp_runtime.Metrics.pp (Ccdp_runtime.Metrics.of_result r);
-    if verify then
-      let v = Ccdp_runtime.Verify.against_sequential w.program ~init:(fun _ -> ()) r in
-      Format.printf "%a@." Ccdp_runtime.Verify.pp_report v
+    if verify then print_verification w.program r
   in
-  Cmd.v (Cmd.info "run" ~doc:"Execute one workload on the machine model")
+  Cmd.v
+    (Cmd.info "run" ~exits:(exits_1 (verify_failed_doc ^ "."))
+       ~doc:
+         "Execute one workload on the machine model and verify it against \
+          sequential execution; exits 1 when verification fails")
     Term.(
       const run $ workload_arg $ n_arg $ iters_arg $ pe_arg $ mode_arg
       $ machine_arg $ verify_arg $ jobs_arg)
@@ -238,27 +253,28 @@ let load_cmd =
         else Printf.eprintf "%s:%d: error: %s\n" path ln msg;
         exit 1
     in
-    let cfg = Ccdp_machine.Config.t3d ~n_pes:pe in
-    let compiled = Ccdp_core.Pipeline.compile cfg program in
+    (* the report is the compile the run executes (the plain one for
+       modes that run without a plan) *)
+    let compiled =
+      Ccdp_core.Experiment.compile_for (Ccdp_machine.Config.t3d ~n_pes:pe) mode
+        program
+    in
     Format.printf "%a@.@." Ccdp_core.Pipeline.report compiled;
-    let plan =
-      match mode with
-      | Ccdp_runtime.Memsys.Ccdp | Ccdp_runtime.Memsys.Clustered ->
-          compiled.Ccdp_core.Pipeline.plan
-      | _ -> Ccdp_analysis.Annot.empty ()
-    in
-    let r =
-      Ccdp_runtime.Interp.run cfg compiled.Ccdp_core.Pipeline.program ~plan
-        ~mode ()
-    in
+    let r = Ccdp_core.Experiment.run_program ~compiled ~n_pes:pe mode program in
     Format.printf "%a@." Ccdp_runtime.Interp.pp_result r;
-    if verify then
-      let v = Ccdp_runtime.Verify.against_sequential program ~init:(fun _ -> ()) r in
-      Format.printf "%a@." Ccdp_runtime.Verify.pp_report v
+    if verify then print_verification program r
   in
   Cmd.v
     (Cmd.info "load"
-       ~doc:"Parse a CRAFT-dialect source file, compile and execute it")
+       ~exits:
+         (exits_1
+            ("on malformed CRAFT input (reported as \
+              $(i,FILE:LINE:COL: error: MESSAGE) on standard error), and "
+           ^ verify_failed_doc ^ "."))
+       ~doc:
+         "Parse a CRAFT-dialect source file, compile and execute it, and \
+          verify it against sequential execution; exits 1 on malformed \
+          input or when verification fails")
     Term.(const run $ file_arg $ pe_arg $ mode_arg $ verify_arg)
 
 let emit_cmd =

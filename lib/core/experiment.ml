@@ -29,43 +29,48 @@ let default_spec =
     tuning = Ccdp_analysis.Schedule.default_tuning;
   }
 
+(* the clustered runtime still consumes a CCDP plan for its inter-island
+   traffic; compiling with the cluster-aware discharge drops the
+   obligations the island snoop makes redundant *)
+let compile_for ?tuning cfg mode program =
+  Pipeline.compile cfg ?tuning
+    ~cluster_coherent:(mode = Memsys.Clustered)
+    program
+
 (* [jobs]: intra-run shard count for the epoch simulation (see
    Interp.run's [pool]); [None] — the default, and what [evaluate]'s grid
    cells use from inside their own pool tasks — runs the serial walk
    without creating any pool. *)
-let run_mode ?tuning ?(machine = Config.t3d) ?jobs ~n_pes mode (w : Workload.t)
-    =
+let run_program ?tuning ?(machine = Config.t3d) ?jobs ?compiled ~n_pes mode
+    program =
   let go ?pool () =
     let cfg = machine ~n_pes in
     match mode with
-    | Memsys.Ccdp ->
-        let compiled = Pipeline.compile cfg ?tuning w.program in
-        Interp.run cfg ?pool compiled.Pipeline.program
-          ~plan:compiled.Pipeline.plan ~mode ()
-    | Memsys.Clustered ->
-        (* the clustered runtime still consumes a CCDP plan for its
-           inter-island traffic; compiling with the cluster-aware
-           discharge drops the obligations the island snoop makes
-           redundant *)
+    | Memsys.Ccdp | Memsys.Clustered ->
         let compiled =
-          Pipeline.compile cfg ?tuning ~cluster_coherent:true w.program
+          match compiled with
+          | Some c -> c
+          | None -> compile_for ?tuning cfg mode program
         in
         Interp.run cfg ?pool compiled.Pipeline.program
           ~plan:compiled.Pipeline.plan ~mode ()
     | Memsys.Seq ->
         let cfg = machine ~n_pes:1 in
         Interp.run cfg ?pool
-          (Ccdp_ir.Program.inline w.program)
+          (Ccdp_ir.Program.inline program)
           ~plan:(Ccdp_analysis.Annot.empty ()) ~mode ()
     | Memsys.Base | Memsys.Invalidate | Memsys.Incoherent | Memsys.Hscd
     | Memsys.Msi | Memsys.Mesi | Memsys.Directory ->
         Interp.run cfg ?pool
-          (Ccdp_ir.Program.inline w.program)
+          (Ccdp_ir.Program.inline program)
           ~plan:(Ccdp_analysis.Annot.empty ()) ~mode ()
   in
   match jobs with
   | Some j when j > 1 -> Pool.with_pool ~jobs:j (fun pool -> go ~pool ())
   | _ -> go ()
+
+let run_mode ?tuning ?machine ?jobs ~n_pes mode (w : Workload.t) =
+  run_program ?tuning ?machine ?jobs ~n_pes mode w.program
 
 (* The grid is embarrassingly parallel: every Interp.run allocates its
    whole machine state, so (workload, width) cells run on any domain in
@@ -596,7 +601,9 @@ let rivals_rows ?(n_pes = 64) ?jobs workloads =
       let seqs =
         Pool.map_runs pool
           ~label:(fun i -> "seq:" ^ (List.nth workloads i).Workload.name)
-          (fun _ (w : Workload.t) -> run_mode ~n_pes:1 Memsys.Seq w)
+          (fun _ (w : Workload.t) ->
+            Seq_oracle.run (Config.t3d ~n_pes:1)
+              (Ccdp_ir.Program.inline w.program) ())
           workloads
       in
       let units =
@@ -609,7 +616,7 @@ let rivals_rows ?(n_pes = 64) ?jobs workloads =
           ~label:(fun i ->
             let (w : Workload.t), _, (mname, _) = List.nth units i in
             w.Workload.name ^ "@" ^ mname)
-          (fun _ ((w : Workload.t), (seq : Interp.result), (mname, preset)) ->
+          (fun _ ((w : Workload.t), seq, (mname, preset)) ->
             let inlined = Ccdp_ir.Program.inline w.program in
             let base = run_mode ~machine:preset ~n_pes Memsys.Base w in
             List.map
@@ -619,8 +626,8 @@ let rivals_rows ?(n_pes = 64) ?jobs workloads =
                   else run_mode ~machine:preset ~n_pes mode w
                 in
                 let ok =
-                  (Verify.compare_states ~expected:seq.Interp.sys
-                     ~got:r.Interp.sys inlined)
+                  (Verify.compare_states ~expected:seq ~got:r.Interp.sys
+                     inlined)
                     .Verify.ok
                 in
                 {

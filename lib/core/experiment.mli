@@ -37,12 +37,37 @@ type spec = {
 
 val default_spec : spec
 
-(** Run one workload at one machine width under one mode; compiles with the
-    spec's tuning for CCDP-plan modes. [machine] selects the machine
-    preset (default {!Ccdp_machine.Config.t3d}). [jobs > 1] simulates the
-    run's DOALL epochs in that many domain shards (intra-run parallelism,
-    see {!Ccdp_runtime.Interp.run}); the default runs serially without
-    creating a pool — the simulated result is identical either way. *)
+(** The compile a CCDP-plan mode runs on machine [cfg]: the clustered
+    mode's uses the cluster-aware discharge, every other mode's is the
+    plain compile. *)
+val compile_for :
+  ?tuning:Ccdp_analysis.Schedule.tuning ->
+  Ccdp_machine.Config.t ->
+  Ccdp_runtime.Memsys.mode ->
+  Ccdp_ir.Program.t ->
+  Pipeline.t
+
+(** Run one program at one machine width under one mode: the mode's whole
+    set-up. CCDP-plan modes run {!compile_for} with [tuning], or
+    [compiled] when the caller already has that compile for the same
+    machine; [Seq] runs on a one-PE machine whatever [n_pes] says; the
+    other modes run the inlined program with an empty plan. [machine]
+    selects the machine preset (default {!Ccdp_machine.Config.t3d}).
+    [jobs > 1] simulates the run's DOALL epochs in that many domain shards
+    (intra-run parallelism, see {!Ccdp_runtime.Interp.run}); the default
+    runs serially without creating a pool — the simulated result is
+    identical either way. *)
+val run_program :
+  ?tuning:Ccdp_analysis.Schedule.tuning ->
+  ?machine:(n_pes:int -> Ccdp_machine.Config.t) ->
+  ?jobs:int ->
+  ?compiled:Pipeline.t ->
+  n_pes:int ->
+  Ccdp_runtime.Memsys.mode ->
+  Ccdp_ir.Program.t ->
+  Ccdp_runtime.Interp.result
+
+(** {!run_program} on a workload's program. *)
 val run_mode :
   ?tuning:Ccdp_analysis.Schedule.tuning ->
   ?machine:(n_pes:int -> Ccdp_machine.Config.t) ->

@@ -113,6 +113,16 @@ let local_offset t idx =
       done;
       !lin * t.decl.elem_words
 
+let strides t =
+  let s = Array.make (Array_decl.rank t.decl) t.decl.elem_words in
+  for d = 1 to Array.length s - 1 do
+    let extent =
+      if t.ddim = Some (d - 1) then local_dim_extent t else t.decl.dims.(d - 1)
+    in
+    s.(d) <- s.(d - 1) * extent
+  done;
+  s
+
 let owned_section t pe =
   match t.ddim with
   | None ->

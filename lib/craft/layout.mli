@@ -29,6 +29,12 @@ val owner_id : t -> int array -> int
 (** Word offset of an element inside its owner's portion of this array. *)
 val local_offset : t -> int array -> int
 
+(** Word stride of each dimension in the owner's portion: [local_offset]
+    is the sum over [d] of [strides.(d)] times the element's index along
+    [d] local to its owner. On one PE every local index is the index
+    itself, so the offset of an in-bounds element is affine in it. *)
+val strides : t -> int array
+
 (** Section of the array owned by one PE (a triplet along the distributed
     dimension, whole elsewhere); [Whole] for replicated arrays, the whole
     array for PE 0 (and [Empty] for others) when undistributed. *)

@@ -2,6 +2,7 @@ module Config = Ccdp_machine.Config
 module Pipeline = Ccdp_core.Pipeline
 module Interp = Ccdp_runtime.Interp
 module Memsys = Ccdp_runtime.Memsys
+module Seq_oracle = Ccdp_runtime.Seq_oracle
 module Verify = Ccdp_runtime.Verify
 module Schedule = Ccdp_analysis.Schedule
 module Stale = Ccdp_analysis.Stale
@@ -203,11 +204,7 @@ let static_certify ?mutate_stale cfg (d : Gen.desc) program =
 let check_full ?mutate_stale ?pool (d : Gen.desc) =
   let cfg = cfg_of d in
   let program = Gen.build d in
-  let seq =
-    Interp.run
-      { cfg with Config.n_pes = 1; Config.cluster_pes = 1 }
-      program ~plan:(Annot.empty ()) ~mode:Memsys.Seq ()
-  in
+  let seq = Seq_oracle.run cfg program () in
   let runs = ref 0 and checks = ref 0 in
   let rec loop = function
     | [] -> None
@@ -226,8 +223,7 @@ let check_full ?mutate_stale ?pool (d : Gen.desc) =
           Some (v.vname, Oracle, detail)
         else
           let rep =
-            Verify.compare_states ~expected:seq.Interp.sys ~got:r.Interp.sys
-              program
+            Verify.compare_states ~expected:seq ~got:r.Interp.sys program
           in
           if not rep.Verify.ok then
             Some (v.vname, Mismatch, Format.asprintf "%a" Verify.pp_report rep)
@@ -407,11 +403,7 @@ type sabotage_summary = {
 let run_sabotage case (d : Gen.desc) =
   let cfg = cfg_of d in
   let program = Gen.build d in
-  let seq =
-    Interp.run
-      { cfg with Config.n_pes = 1; Config.cluster_pes = 1 }
-      program ~plan:(Annot.empty ()) ~mode:Memsys.Seq ()
-  in
+  let seq = Seq_oracle.run cfg program () in
   (* the snooping/directory rivals are plan-free; the clustered mode keeps
      the CCDP discipline across islands, so its sabotage run needs the
      re-islanded machine and a plan compiled with the cluster discharge —
@@ -435,7 +427,7 @@ let run_sabotage case (d : Gen.desc) =
   let fired = Memsys.sabotage_fired r.Interp.sys in
   let caught = Memsys.oracle_violation_count r.Interp.sys > 0 in
   let ok =
-    (Verify.compare_states ~expected:seq.Interp.sys ~got:r.Interp.sys program)
+    (Verify.compare_states ~expected:seq ~got:r.Interp.sys program)
       .Verify.ok
   in
   (fired, caught, (not ok) && not caught)

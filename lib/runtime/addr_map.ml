@@ -42,7 +42,10 @@ let layout t name =
   | Some l -> l
   | None -> invalid_arg ("Addr_map: unknown array " ^ name)
 
-let base t name = Hashtbl.find t.bases name
+let base t name =
+  match Hashtbl.find t.bases name with
+  | b -> b
+  | exception Not_found -> invalid_arg ("Addr_map: unknown array " ^ name)
 
 let resolve t ~pe name idx =
   let lay = layout t name in

@@ -26,6 +26,9 @@ val total_words : t -> int
 
 val layout : t -> string -> Ccdp_craft.Layout.t
 
+(** Offset of an array's first word inside every PE's window. *)
+val base : t -> string -> int
+
 (** Address of an element and its location relative to the accessing PE.
     Replicated/private arrays resolve to the accessing PE's own copy. *)
 val resolve :

@@ -15,16 +15,18 @@ type result = {
 (* Statement-level register memo as a flat linear-scan buffer keyed by
    canonical word address: scopes hold a handful of distinct elements, so a
    scan beats hashing — and resetting is one store. [memo_caps] bounds the
-   population statically; growth is a safety net only. *)
+   population statically; growth is a safety net only. [mup] is the memo
+   of the scope enclosing a nested loop's (see [link_memos]). *)
 type memo = {
   mutable mn : int;
   mutable mkeys : int array;
   mutable mvals : float array;
+  mutable mup : memo option;
 }
 
 let memo_make cap =
   let cap = max 1 cap in
-  { mn = 0; mkeys = Array.make cap 0; mvals = Array.make cap 0.0 }
+  { mn = 0; mkeys = Array.make cap 0; mvals = Array.make cap 0.0; mup = None }
 
 let memo_index m addr =
   let n = m.mn in
@@ -48,6 +50,50 @@ let memo_add m addr v =
 let memo_put m addr v =
   let i = memo_index m addr in
   if i >= 0 then m.mvals.(i) <- v else memo_add m addr v
+
+(* A store inside a nested loop also refreshes the copies the enclosing
+   scopes hold: their registers live across the nested loop, so without
+   this an element they read before it would come back stale after it.
+   Refreshing (rather than dropping) a copy keeps every hit a hit, so the
+   timing is that of a compiler forwarding the store. *)
+let rec memo_refresh up addr v =
+  match up with
+  | None -> ()
+  | Some m ->
+      (* a plain loop, not [memo_index]: its scan closure would allocate
+         once per enclosing scope on every store *)
+      for i = 0 to m.mn - 1 do
+        if m.mkeys.(i) = addr then m.mvals.(i) <- v
+      done;
+      memo_refresh m.mup addr v
+
+(* Point each nested loop's memo at its enclosing scope's: a loop
+   iteration's or a serial epoch's (branch-condition scopes hold nothing
+   across a loop). The nesting is static, so the links are set once. *)
+let link_memos memos (xp : Xplan.t) =
+  let rec stmts up body = Array.iter (stmt up) body
+  and stmt up = function
+    | Xplan.XFor l ->
+        memos.(l.Xplan.l_memo).mup <- Some memos.(up);
+        stmts l.Xplan.l_memo l.Xplan.l_body
+    | Xplan.XIf (_, a, b) ->
+        stmts up a;
+        stmts up b
+    | Xplan.XCritical { xc_body; _ } -> stmts up xc_body
+    | Xplan.XAssign _ | Xplan.XSassign _ | Xplan.XReduce _ -> ()
+  in
+  let rec nodes ns =
+    Array.iter
+      (function
+        | Xplan.NPar (_, l, _) -> stmts l.Xplan.l_memo l.Xplan.l_body
+        | Xplan.NSer (_, body, m) -> stmts m body
+        | Xplan.NLoop { s_body; _ } -> nodes s_body
+        | Xplan.NBranch (_, _, a, b) ->
+            nodes a;
+            nodes b)
+      ns
+  in
+  nodes xp.Xplan.nodes
 
 (* Per-shard mutable evaluation state: everything the recursive evaluator
    scribbles on besides the per-PE frames and the memory system itself.
@@ -109,10 +155,12 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
   let waccs = Array.map (Memsys.prepare_write sys) xp.Xplan.writes in
   let scratch_of (r : Reference.t) = Array.make (Array.length r.subs) 0 in
   let make_scratch () =
+    let memos = Array.map memo_make xp.Xplan.memo_caps in
+    link_memos memos xp;
     {
       s_ridx = Array.map scratch_of xp.Xplan.reads;
       s_widx = Array.map scratch_of xp.Xplan.writes;
-      s_memos = Array.map memo_make xp.Xplan.memo_caps;
+      s_memos = memos;
       s_sp_lines =
         Array.map (fun k -> Array.make (max 1 k) min_int) xp.Xplan.sp_counts;
     }
@@ -325,8 +373,9 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
         let wa = waccs.(dst.Xplan.xacc) in
         let addr = Memsys.write_addr sys wa ~pe ~idx in
         Memsys.write_c sys ~pe wa ~addr v;
-        (* keep the register copy coherent with the store *)
-        memo_put memo addr v
+        (* keep the register copies coherent with the store *)
+        memo_put memo addr v;
+        memo_refresh memo.mup addr v
     | Xplan.XSassign { xflops; slot; src } ->
         Memsys.charge sys ~pe (xflops * cfg.Config.flop);
         fframe.(pe).(slot) <- eval_f pe memo src;

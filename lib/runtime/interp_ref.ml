@@ -201,7 +201,7 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) (program : Program.t
       (Annot.pipelined_at plan l.Stmt.loop_id)
   in
   (* execute the iterations [first..last..step] of loop [l] on [pe] *)
-  let rec exec_range pe (l : Stmt.loop) ~first ~last ~step =
+  let rec exec_range ?(outer = []) pe (l : Stmt.loop) ~first ~last ~step =
     vector_issue pe l ~first ~last ~step;
     let plans = List.map (fun p -> (p, ref min_int)) (sp_plans l) in
     (* software-pipelining prologue: prefetch the first d iterations *)
@@ -224,40 +224,45 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) (program : Program.t
       (* fresh register file per iteration: scalar replacement is only
          valid within a single iteration of the innermost loop *)
       let memo = Hashtbl.create 8 in
-      List.iter (exec_stmt pe memo) l.body;
+      List.iter (exec_stmt pe ~outer memo) l.body;
       v := !v + step
     done;
     match saved with
     | Some x -> set_iv pe l.var x
     | None -> Hashtbl.remove ivs.(pe) l.var
 
-  and exec_loop pe (l : Stmt.loop) =
+  and exec_loop ?outer pe (l : Stmt.loop) =
     let first = Bound.eval_exec l.lo (lookup pe) in
     let last = Bound.eval_exec l.hi (lookup pe) in
-    exec_range pe l ~first ~last ~step:l.step
+    exec_range ?outer pe l ~first ~last ~step:l.step
 
-  and exec_stmt pe memo s =
+  (* [outer]: the memos of the scopes enclosing this nested loop, innermost
+     first; their registers live across it *)
+  and exec_stmt pe ~outer memo s =
     match s with
     | Stmt.Assign (r, e) ->
         Memsys.charge sys ~pe (Stmt.direct_flops s * cfg.Config.flop);
         let v = eval_f pe memo e in
         let idx = eval_idx pe r in
         Memsys.write sys ~pe r ~idx v;
-        (* keep the register copy coherent with the store *)
-        Hashtbl.replace memo (r.Reference.array_name, idx) v
+        (* keep the register copies coherent with the store: this scope's,
+           and the ones enclosing scopes hold (refreshed, not dropped) *)
+        let key = (r.Reference.array_name, idx) in
+        Hashtbl.replace memo key v;
+        List.iter (fun m -> if Hashtbl.mem m key then Hashtbl.replace m key v) outer
     | Stmt.Sassign (x, e) ->
         Memsys.charge sys ~pe (Stmt.direct_flops s * cfg.Config.flop);
         Hashtbl.replace svs.(pe) x (eval_f pe memo e)
     | Stmt.If (c, tb, eb) ->
-        if eval_cond pe memo c then List.iter (exec_stmt pe memo) tb
-        else List.iter (exec_stmt pe memo) eb
-    | Stmt.For l -> exec_loop pe l
+        if eval_cond pe memo c then List.iter (exec_stmt pe ~outer memo) tb
+        else List.iter (exec_stmt pe ~outer memo) eb
+    | Stmt.For l -> exec_loop ~outer:(memo :: outer) pe l
     | Stmt.Critical c ->
         Memsys.lock_acquire sys ~pe c.Stmt.lock;
         (* the acquire is a staleness frontier: register copies of shared
            values loaded before it cannot be trusted past it *)
         Hashtbl.reset memo;
-        List.iter (exec_stmt pe memo) c.Stmt.cbody;
+        List.iter (exec_stmt pe ~outer memo) c.Stmt.cbody;
         Memsys.lock_release sys ~pe c.Stmt.lock
     | Stmt.Reduce r ->
         Memsys.charge sys ~pe (Stmt.direct_flops s * cfg.Config.flop);
@@ -356,7 +361,7 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) (program : Program.t
     incr epochs_executed;
     let t0 = Machine.time (Memsys.machine sys) in
     let memo = Hashtbl.create 8 in
-    List.iter (exec_stmt 0 memo) stmts;
+    List.iter (exec_stmt 0 ~outer:[] memo) stmts;
     Memsys.epoch_boundary sys;
     record_epoch id (Machine.time (Memsys.machine sys) - t0)
   in

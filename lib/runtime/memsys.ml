@@ -196,8 +196,7 @@ type t = {
           epochs must replay serially (see {!shardable}) *)
 }
 
-let create cfg ?(oracle = false) ?(sabotage = No_fault) (p : Program.t) ~plan
-    md =
+let make cfg ~oracle ~sabotage (p : Program.t) ~plan md ~buffered =
   let mach = Machine.create cfg in
   let amap =
     Addr_map.make p ~n_pes:cfg.Config.n_pes ~line_words:cfg.Config.line_words
@@ -233,11 +232,6 @@ let create cfg ?(oracle = false) ?(sabotage = No_fault) (p : Program.t) ~plan
         Hw_dir (Coherence.Dir.create ~n_pes:cfg.Config.n_pes ~n_lines)
     | Clustered -> Hw_cluster
     | Seq | Base | Ccdp | Invalidate | Incoherent | Hscd -> Hw_none
-  in
-  let buffered =
-    match md with
-    | Seq | Base | Ccdp | Invalidate | Incoherent -> true
-    | Hscd | Msi | Mesi | Directory | Clustered -> false
   in
   let words = Addr_map.total_words amap in
   let has_sync =
@@ -306,6 +300,23 @@ let create cfg ?(oracle = false) ?(sabotage = No_fault) (p : Program.t) ~plan
     locks = Hashtbl.create 4;
     has_sync;
   }
+
+let create cfg ?(oracle = false) ?(sabotage = No_fault) p ~plan md =
+  let buffered =
+    match md with
+    | Seq | Base | Ccdp | Invalidate | Incoherent -> true
+    | Hscd | Msi | Mesi | Directory | Clustered -> false
+  in
+  make cfg ~oracle ~sabotage p ~plan md ~buffered
+
+(* Unbuffered: with one PE and nothing timed there is no epoch to buffer,
+   so [set] and direct word writes are the whole memory model. *)
+let image cfg p =
+  let cfg = { cfg with Config.n_pes = 1; Config.cluster_pes = 1 } in
+  make cfg ~oracle:false ~sabotage:No_fault p
+    ~plan:(Ccdp_analysis.Annot.empty ()) Seq ~buffered:false
+
+let words t = t.mem
 
 let cfg t = t.cfg
 let mode t = t.md

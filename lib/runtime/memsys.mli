@@ -104,6 +104,13 @@ val create :
   Ccdp_machine.Config.t -> ?oracle:bool -> ?sabotage:sabotage ->
   Ccdp_ir.Program.t -> plan:Ccdp_analysis.Annot.plan -> mode -> t
 
+(** [image cfg program]: a one-PE memory image of [program] for untimed,
+    value-only evaluation ({!Seq_oracle}). Its address map is the one a
+    one-PE [Seq] run on [cfg] uses; it is in [Seq] mode with no epoch
+    buffering and no staleness oracle, and nothing ever advances its
+    clock. *)
+val image : Ccdp_machine.Config.t -> Ccdp_ir.Program.t -> t
+
 val cfg : t -> Ccdp_machine.Config.t
 val mode : t -> mode
 val map : t -> Addr_map.t
@@ -117,6 +124,12 @@ val set : t -> string -> int array -> float -> unit
 
 (** Read the canonical (owner) copy from memory. *)
 val get : t -> string -> int array -> float
+
+(** The memory words themselves, indexed by global address ({!Addr_map}).
+    Reading them is read-back; writing them bypasses every protocol, the
+    epoch buffers and the staleness oracle, so only an {!image} may be
+    written this way. *)
+val words : t -> float array
 
 (** {1 Timed operations} *)
 

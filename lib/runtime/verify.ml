@@ -14,30 +14,52 @@ type report = {
   max_abs_diff : float;
 }
 
+(* Allocation-free walk: one address-map handle per array and state, the
+   index advanced column-major in place (the order [point_of_linear]
+   enumerates), and the PE-0 address as the canonical copy — the owner's
+   for distributed data, PE 0's for replicated data, as [Memsys.get]. *)
 let compare_states ?(tol = 0.0) ?(max_report = 5) ~expected ~got
     (program : Program.t) =
+  let ew = Memsys.words expected and gw = Memsys.words got in
   let checked = ref 0 in
   let bad = ref 0 in
   let mismatches = ref [] in
   let max_diff = ref 0.0 in
   List.iter
     (fun (a : Array_decl.t) ->
-      if a.shared then
-        for lin = 0 to Array_decl.elems a - 1 do
-          let idx = Array_decl.point_of_linear a lin in
-          let e = Memsys.get expected a.name idx in
-          let g = Memsys.get got a.name idx in
+      if a.shared then begin
+        let he = Addr_map.handle (Memsys.map expected) a.name in
+        let hg = Addr_map.handle (Memsys.map got) a.name in
+        let dims = a.dims in
+        let idx = Array.make (Array.length dims) 0 in
+        for _ = 1 to Array_decl.elems a do
+          let e = ew.(Addr_map.resolve_h he ~pe:0 idx) in
+          let g = gw.(Addr_map.resolve_h hg ~pe:0 idx) in
           incr checked;
           let d = abs_float (e -. g) in
           if d > !max_diff then max_diff := d;
-          if d > tol && not (Float.is_nan e && Float.is_nan g) then begin
-            incr bad;
-            if List.length !mismatches < max_report then
+          (* a NaN on exactly one side differs by NaN, which no tolerance
+             comparison catches; NaN on both sides is agreement *)
+          if d > tol || Float.is_nan e <> Float.is_nan g then begin
+            if !bad < max_report then
               mismatches :=
-                { array_name = a.name; index = idx; expected = e; got = g }
-                :: !mismatches
-          end
-        done)
+                {
+                  array_name = a.name;
+                  index = Array.copy idx;
+                  expected = e;
+                  got = g;
+                }
+                :: !mismatches;
+            incr bad
+          end;
+          let k = ref 0 in
+          while !k < Array.length idx && idx.(!k) = dims.(!k) - 1 do
+            idx.(!k) <- 0;
+            incr k
+          done;
+          if !k < Array.length idx then idx.(!k) <- idx.(!k) + 1
+        done
+      end)
     program.Program.arrays;
   {
     ok = !bad = 0;
@@ -48,19 +70,8 @@ let compare_states ?(tol = 0.0) ?(max_report = 5) ~expected ~got
 
 let against_sequential ?tol (program : Program.t) ~init (r : Interp.result) =
   let program = if program.Program.procs = [] then program else Program.inline program in
-  let cfg_seq =
-    (* one flat PE: a singleton machine has no clusters to speak of *)
-    {
-      (Memsys.cfg r.Interp.sys) with
-      Ccdp_machine.Config.n_pes = 1;
-      Ccdp_machine.Config.cluster_pes = 1;
-    }
-  in
-  let seq =
-    Interp.run cfg_seq program ~plan:(Ccdp_analysis.Annot.empty ())
-      ~mode:Memsys.Seq ~init ()
-  in
-  compare_states ?tol ~expected:seq.Interp.sys ~got:r.Interp.sys program
+  let expected = Seq_oracle.run (Memsys.cfg r.Interp.sys) program ~init () in
+  compare_states ?tol ~expected ~got:r.Interp.sys program
 
 let pp_report ppf r =
   if r.ok then Format.fprintf ppf "verification OK (%d elements)" r.checked

@@ -19,17 +19,21 @@ type report = {
   ok : bool;
   checked : int;  (** elements compared *)
   mismatches : mismatch list;  (** first few offenders *)
-  max_abs_diff : float;
+  max_abs_diff : float;  (** over the elements whose difference is a number *)
 }
 
-(** Compare every element of every shared array between two final states.
-    [tol] is an absolute tolerance (default 0: exact). *)
+(** Compare every element of every shared array between two final states
+    (each read at its canonical copy, as {!Memsys.get}). [tol] is an
+    absolute tolerance (default 0: exact). A NaN on exactly one side is a
+    mismatch whatever [tol]; NaN on both sides agrees. The walk allocates
+    nothing per element. *)
 val compare_states :
   ?tol:float -> ?max_report:int -> expected:Memsys.t -> got:Memsys.t ->
   Ccdp_ir.Program.t -> report
 
-(** Run the program sequentially (1 PE, empty plan, same [init]) and compare
-    the given result against it. *)
+(** Compare the given result against the program's sequential execution
+    from the same [init]: the value-only {!Seq_oracle} on the result's
+    machine configuration (one PE). *)
 val against_sequential :
   ?tol:float ->
   Ccdp_ir.Program.t ->

@@ -63,3 +63,53 @@ let two_epoch_program ?(n = 16) ~dist ~init_sched ~read_sched mk_read =
   B.finish b [ init; compute ]
 
 module F = Builder.F
+
+(* A race-free program whose enclosing scopes read an element, run a nested
+   loop that overwrites it, and read it again: a DOALL iteration over one
+   nested loop, one over two nested loops, and a serial epoch. Sequential
+   semantics give D(0,j) = 1-j, D(1,j) = 10-3j and D(2,0) = 12; a register
+   copy kept stale across the nested loop would give 2j, 4-j and 19. *)
+let nested_store_craft =
+  {|      PROGRAM NESTED
+      REAL*8 A(8, 8)
+CDIR$ SHARED A(:, :BLOCK)
+      REAL*8 C(8, 8)
+CDIR$ SHARED C(:, :BLOCK)
+      REAL*8 B(8, 8)
+CDIR$ SHARED B(:, :BLOCK)
+      REAL*8 D(8, 8)
+CDIR$ SHARED D(:, :BLOCK)
+CDIR$ DOSHARED (J)
+      DO J = 0, 7
+        DO I = 0, 7
+          A(i, j) = (i + 2*j)
+          C(i, j) = (3*i - j)
+        ENDDO
+      ENDDO
+CDIR$ DOSHARED (J)
+      DO J = 0, 7
+        B(0, j) = A(0, j)
+        DO I = 0, 7
+          A(i, j) = (C(i, j) + 1)
+        ENDDO
+        D(0, j) = A(0, j)
+      ENDDO
+CDIR$ DOSHARED (J)
+      DO J = 0, 7
+        B(1, j) = A(1, j)
+        DO K = 1, 2
+          DO I = 0, 7
+            A(i, j) = (A(i, j) + C(i, j))
+          ENDDO
+        ENDDO
+        D(1, j) = A(1, j)
+      ENDDO
+      B(2, 0) = A(2, 0)
+      DO I = 0, 7
+        A(i, 0) = (2*C(i, 0))
+      ENDDO
+      D(2, 0) = A(2, 0)
+      END
+|}
+
+let nested_store_program () = Craft_parse.program nested_store_craft

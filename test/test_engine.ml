@@ -114,6 +114,15 @@ let workload_cases =
     (Ccdp_workloads.Suite.spec_four ~n:16 ~iters:1 ()
     @ [ Ccdp_workloads.Extras.gauss ~n:16 ])
 
+(* stores inside nested loops refresh the enclosing scopes' register
+   copies the same way in both engines *)
+let nested_store_case =
+  case "nested-loop stores agree in every mode" (fun () ->
+      List.iter
+        (fun mode ->
+          assert_equal_runs "nested" (nested_store_program ()) ~n_pes:4 mode)
+        modes)
+
 (* cycle-identity on every interconnect: both engines route through the
    same Net instance state (including the crossbar's shared-port
    contention bookings), so TOMCATV must agree mode-for-mode on all four
@@ -232,7 +241,7 @@ let () =
       Alcotest.run "engine"
         [
           ("fuzz corpus", fuzz_cases);
-          ("workloads", workload_cases);
+          ("workloads", workload_cases @ [ nested_store_case ]);
           ("synchronization", sync_cases);
           ("machines", machine_cases);
           ("cluster machines", cluster_machine_cases);

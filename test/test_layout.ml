@@ -60,6 +60,32 @@ let offsets =
             check_true "in range" (off >= 0 && off < l.Layout.per_pe_words)
           done
         done);
+    case "on one PE the offset is the strides' dot product" (fun () ->
+        let dists =
+          Dist.
+            [
+              replicated;
+              Dims [| Degenerate; Degenerate |];
+              block_along ~rank:2 ~dim:1;
+              cyclic_along ~rank:2 ~dim:0;
+              Dims [| Block_cyclic 3; Degenerate |];
+            ]
+        in
+        List.iter
+          (fun dist ->
+            let l =
+              Layout.make ~n_pes:1
+                (Array_decl.make ~elem_words:2 ~dist "A" [| 7; 5 |])
+            in
+            let s = Layout.strides l in
+            for i = 0 to 6 do
+              for j = 0 to 4 do
+                check_int "offset"
+                  ((s.(0) * i) + (s.(1) * j))
+                  (Layout.local_offset l [| i; j |])
+              done
+            done)
+          dists);
   ]
 
 let owned =
