@@ -49,6 +49,10 @@ let with_bench_json ~bench ~jobs f =
   let path = Bench_json.write doc ~jobs ~wall_clock_s in
   Format.fprintf ppf "[%s: wall %.2fs at -j%d]@." path wall_clock_s jobs
 
+let emit doc tbl =
+  Bench_json.add_table doc tbl;
+  Experiment.print_tbl ppf tbl
+
 let tables sizes jobs =
   header
     (Printf.sprintf
@@ -61,12 +65,10 @@ let tables sizes jobs =
   with_bench_json ~bench:"table1" ~jobs (fun doc ->
       rows := Experiment.evaluate ~jobs ~spec ws;
       Bench_json.add_rows doc !rows;
-      Bench_json.add_table doc (Experiment.table1 !rows);
-      Experiment.print_table1 ppf !rows);
+      emit doc (Experiment.table1 !rows));
   with_bench_json ~bench:"table2" ~jobs (fun doc ->
       Bench_json.add_rows doc !rows;
-      Bench_json.add_table doc (Experiment.table2 !rows);
-      Experiment.print_table2 ppf !rows);
+      emit doc (Experiment.table2 !rows));
   Format.fprintf ppf
     "Paper Table 2 reference bands: MXM 64.5-89.8%%, VPENTA 4.4-23.9%%, \
      TOMCATV 44.8-69.6%%, SWIM 2.5-13.2%%.@."
@@ -85,17 +87,13 @@ let extras_table sizes jobs =
   with_bench_json ~bench:"extras" ~jobs (fun doc ->
       let rows = Experiment.evaluate ~jobs ~spec ws in
       Bench_json.add_rows doc rows;
-      Bench_json.add_table doc (Experiment.table2 rows);
-      Experiment.print_table2 ppf rows)
+      emit doc (Experiment.table2 rows))
 
 let ablations sizes jobs =
   header "Ablation studies (DESIGN.md experiments A-C)";
   let ws = Suite.spec_four ~n:sizes.n ~iters:sizes.iters () in
   with_bench_json ~bench:"ablate" ~jobs (fun doc ->
-      let emit tbl =
-        Bench_json.add_table doc tbl;
-        Experiment.print_tbl ppf tbl
-      in
+      let emit = emit doc in
       emit (Experiment.ablation_target_table ~n_pes:sizes.abl_pes ~jobs ws);
       emit (Experiment.ablation_technique_table ~n_pes:sizes.abl_pes ~jobs ws);
       emit (Experiment.ablation_coherence_table ~n_pes:sizes.abl_pes ~jobs ws);
@@ -108,10 +106,7 @@ let sweeps sizes jobs =
   let tom = Tomcatv.workload ~n:sizes.n ~iters:sizes.iters in
   let mxm = Mxm.workload ~n:sizes.n in
   with_bench_json ~bench:"sweep" ~jobs (fun doc ->
-      let emit tbl =
-        Bench_json.add_table doc tbl;
-        Experiment.print_tbl ppf tbl
-      in
+      let emit = emit doc in
       emit (Experiment.sweep_remote_table ~n_pes:sizes.abl_pes ~jobs tom);
       emit (Experiment.sweep_remote_table ~n_pes:sizes.abl_pes ~jobs mxm);
       (* the queue only matters on the software-pipelined path *)
@@ -151,19 +146,13 @@ let machines_bench sizes ~quick ~machine jobs =
             None
         | m -> m
       in
-      let tbl =
-        Experiment.machines_table ~n_pes:sizes.abl_pes ?only:flat_only ~jobs
-          ws
-      in
-      Bench_json.add_table doc tbl;
-      Experiment.print_tbl ppf tbl;
+      emit doc
+        (Experiment.machines_table ~n_pes:sizes.abl_pes ?only:flat_only ~jobs
+           ws);
       let ctbl =
         Experiment.clusters_table ~n_pes:sizes.abl_pes ?only:machine ~jobs ws
       in
-      if ctbl.Experiment.trows <> [] then begin
-        Bench_json.add_table doc ctbl;
-        Experiment.print_tbl ppf ctbl
-      end)
+      if ctbl.Experiment.trows <> [] then emit doc ctbl)
 
 (* ---- hardware-coherence rivals -------------------------------------- *)
 
@@ -185,9 +174,7 @@ let rivals_bench sizes ~quick jobs =
   with_bench_json ~bench:"rivals" ~jobs (fun doc ->
       let rows = Experiment.rivals_rows ~n_pes ~jobs ws in
       Bench_json.add_rivals doc rows;
-      let tbl = Experiment.rivals_table rows in
-      Bench_json.add_table doc tbl;
-      Experiment.print_tbl ppf tbl)
+      emit doc (Experiment.rivals_table rows))
 
 (* ---- staleness-oracle overhead ------------------------------------- *)
 
@@ -258,10 +245,6 @@ let perf sizes ~quick jobs =
         tree-walker)"
        n iters n_pes);
   let ws = Suite.spec_four ~n ~iters () in
-  let modes =
-    Ccdp_runtime.Memsys.
-      [ Seq; Base; Ccdp; Invalidate; Incoherent; Hscd; Msi; Mesi; Directory ]
-  in
   let time_run f =
     ignore (f ()) (* warm up: first run pays lowering/page-in noise *);
     let m0 = Gc.minor_words () in
@@ -270,14 +253,15 @@ let perf sizes ~quick jobs =
     let wall = Unix.gettimeofday () -. t0 in
     (r, wall, Gc.minor_words () -. m0)
   in
-  let emit doc ~workload ~mode ~engine ~wall ~cycles ~accesses ~minor_words =
+  let emit doc ~workload ~mode ~pes ~engine ~wall ~cycles ~accesses
+      ~minor_words =
     let per t = if wall > 0.0 then float_of_int t /. wall else 0.0 in
     Bench_json.add_perf doc
       {
         Bench_json.p_workload = workload;
         p_mode = Ccdp_runtime.Memsys.mode_name mode;
         p_engine = engine;
-        p_pes = (if mode = Ccdp_runtime.Memsys.Seq then 1 else n_pes);
+        p_pes = pes;
         p_jobs = 1;
         p_wall_s = wall;
         p_cycles = cycles;
@@ -298,21 +282,12 @@ let perf sizes ~quick jobs =
       let mxm_ratio = ref None in
       List.iter
         (fun (w : Workload.t) ->
-          let cfg = Ccdp_machine.Config.t3d ~n_pes in
-          let cfg1 = Ccdp_machine.Config.t3d ~n_pes:1 in
-          let inlined = Ccdp_ir.Program.inline w.Workload.program in
-          let empty = Ccdp_analysis.Annot.empty () in
-          let compiled = Pipeline.compile cfg w.Workload.program in
-          let setup mode =
-            match mode with
-            | Ccdp_runtime.Memsys.Ccdp ->
-                (cfg, compiled.Pipeline.program, compiled.Pipeline.plan)
-            | Ccdp_runtime.Memsys.Seq -> (cfg1, inlined, empty)
-            | _ -> (cfg, inlined, empty)
-          in
           List.iter
             (fun mode ->
-              let mcfg, prog, plan = setup mode in
+              let { Pipeline.cfg = mcfg; program = prog; plan; _ } =
+                Pipeline.for_mode ~n_pes mode w.Workload.program
+              in
+              let pes = mcfg.Ccdp_machine.Config.n_pes in
               let r, wall, mw =
                 time_run (fun () ->
                     Ccdp_runtime.Interp.run mcfg prog ~plan ~mode ())
@@ -321,8 +296,9 @@ let perf sizes ~quick jobs =
               let accesses =
                 stats.Ccdp_machine.Stats.reads + stats.Ccdp_machine.Stats.writes
               in
-              emit doc ~workload:w.Workload.name ~mode ~engine:"plan" ~wall
-                ~cycles:r.Ccdp_runtime.Interp.cycles ~accesses ~minor_words:mw;
+              emit doc ~workload:w.Workload.name ~mode ~pes ~engine:"plan"
+                ~wall ~cycles:r.Ccdp_runtime.Interp.cycles ~accesses
+                ~minor_words:mw;
               if mode = Ccdp_runtime.Memsys.Ccdp then begin
                 let rr, rwall, rmw =
                   time_run (fun () ->
@@ -340,14 +316,14 @@ let perf sizes ~quick jobs =
                   rstats.Ccdp_machine.Stats.reads
                   + rstats.Ccdp_machine.Stats.writes
                 in
-                emit doc ~workload:w.Workload.name ~mode ~engine:"ref"
+                emit doc ~workload:w.Workload.name ~mode ~pes ~engine:"ref"
                   ~wall:rwall ~cycles:rr.Ccdp_runtime.Interp_ref.cycles
                   ~accesses:raccesses ~minor_words:rmw;
                 if String.lowercase_ascii w.Workload.name = "mxm" && wall > 0.0
                 then
                   mxm_ratio := Some (rwall /. wall)
               end)
-            modes)
+            Ccdp_runtime.Memsys.all_modes)
         ws;
       (match !mxm_ratio with
       | Some r ->

@@ -17,14 +17,26 @@ let iters_arg =
     value & opt int 2
     & info [ "iters" ] ~docv:"I" ~doc:"Time-loop iterations (TOMCATV/SWIM/Jacobi).")
 
+(* a machine narrower than one PE is a command-line error, not a crash in
+   the layout *)
+let width_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some p when p >= 1 -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "invalid width %S, expected P >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let pes_arg =
   Arg.(
     value
-    & opt (list int) [ 1; 2; 4; 8; 16; 32; 64 ]
+    & opt (list width_conv) [ 1; 2; 4; 8; 16; 32; 64 ]
     & info [ "pes" ] ~docv:"P,..." ~doc:"Machine widths for the tables.")
 
 let pe_arg =
-  Arg.(value & opt int 16 & info [ "p"; "pe" ] ~docv:"P" ~doc:"Machine width.")
+  Arg.(
+    value & opt width_conv 16
+    & info [ "p"; "pe" ] ~docv:"P" ~doc:"Machine width.")
 
 let verify_arg =
   Arg.(
@@ -32,11 +44,21 @@ let verify_arg =
     & info [ "verify" ] ~docv:"BOOL"
         ~doc:"Check every run against the sequential execution.")
 
-let workload_arg =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,ccdp list)).")
+(* builds only the named workload, so a size some other workload rejects
+   cannot stop the run; an unknown name, or a size this workload rejects,
+   is a command-line error *)
+let workload_term =
+  let name_arg =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,ccdp list)).")
+  in
+  let build name n iters =
+    try Ok (Suite.find ~n ~iters name)
+    with Invalid_argument msg -> Error (`Msg msg)
+  in
+  Term.(cli_parse_result (const build $ name_arg $ n_arg $ iters_arg))
 
 (* --mode and --machine parsing and help text are generated from the
    runtime's own mode list and the machine preset table, so a new mode or
@@ -151,19 +173,17 @@ let list_cmd =
     Term.(const run $ n_arg $ iters_arg)
 
 let analyze_cmd =
-  let run name n iters pe =
-    let w = Workload.find (workloads_of ~n ~iters) name in
+  let run (w : Workload.t) pe =
     let cfg = Ccdp_machine.Config.t3d ~n_pes:pe in
     let compiled = Ccdp_core.Pipeline.compile cfg w.program in
     Format.printf "%a@." Ccdp_core.Pipeline.report compiled
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run the compiler pipeline and print its report")
-    Term.(const run $ workload_arg $ n_arg $ iters_arg $ pe_arg)
+    Term.(const run $ workload_term $ pe_arg)
 
 let run_cmd =
-  let run name n iters pe mode (_, machine) verify jobs =
-    let w = Workload.find (workloads_of ~n ~iters) name in
+  let run (w : Workload.t) pe mode (_, machine) verify jobs =
     (* here the pool shards the single run's epochs (Interp's intra-run
        parallelism) rather than a list of runs; the simulated result is
        identical for every job count *)
@@ -181,8 +201,8 @@ let run_cmd =
          "Execute one workload on the machine model and verify it against \
           sequential execution; exits 1 when verification fails")
     Term.(
-      const run $ workload_arg $ n_arg $ iters_arg $ pe_arg $ mode_arg
-      $ machine_arg $ verify_arg $ jobs_arg)
+      const run $ workload_term $ pe_arg $ mode_arg $ machine_arg
+      $ verify_arg $ jobs_arg)
 
 let eval_rows n iters pes verify spec_four jobs =
   let ws = if spec_four then Suite.spec_four ~n ~iters () else workloads_of ~n ~iters in
@@ -202,7 +222,8 @@ let table1_cmd =
   let run n iters pes verify spec4 csv jobs =
     let rows = eval_rows n iters pes verify spec4 jobs in
     if csv then Ccdp_core.Experiment.csv_rows Format.std_formatter rows
-    else Ccdp_core.Experiment.print_table1 Format.std_formatter rows
+    else
+      Ccdp_core.Experiment.(print_tbl Format.std_formatter (table1 rows))
   in
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce paper Table 1 (speedups)")
     Term.(
@@ -213,7 +234,8 @@ let table2_cmd =
   let run n iters pes verify spec4 csv jobs =
     let rows = eval_rows n iters pes verify spec4 jobs in
     if csv then Ccdp_core.Experiment.csv_rows Format.std_formatter rows
-    else Ccdp_core.Experiment.print_table2 Format.std_formatter rows
+    else
+      Ccdp_core.Experiment.(print_tbl Format.std_formatter (table2 rows))
   in
   Cmd.v
     (Cmd.info "table2" ~doc:"Reproduce paper Table 2 (CCDP improvement over BASE)")
@@ -230,10 +252,12 @@ let ablate_cmd =
   in
   let run n iters pe which =
     let ws = Suite.spec_four ~n ~iters () in
-    match which with
-    | `Target -> Ccdp_core.Experiment.ablation_target ~n_pes:pe ws Format.std_formatter
-    | `Sched -> Ccdp_core.Experiment.ablation_technique ~n_pes:pe ws Format.std_formatter
-    | `Coh -> Ccdp_core.Experiment.ablation_coherence ~n_pes:pe ws Format.std_formatter
+    Ccdp_core.Experiment.(
+      print_tbl Format.std_formatter
+        (match which with
+        | `Target -> ablation_target_table ~n_pes:pe ws
+        | `Sched -> ablation_technique_table ~n_pes:pe ws
+        | `Coh -> ablation_coherence_table ~n_pes:pe ws))
   in
   Cmd.v (Cmd.info "ablate" ~doc:"Ablation studies (DESIGN.md index)")
     Term.(const run $ n_arg $ iters_arg $ pe_arg $ which_arg)
@@ -253,14 +277,17 @@ let load_cmd =
         else Printf.eprintf "%s:%d: error: %s\n" path ln msg;
         exit 1
     in
-    (* the report is the compile the run executes (the plain one for
-       modes that run without a plan) *)
+    let s = Ccdp_core.Pipeline.for_mode ~n_pes:pe mode program in
+    (* the report is the compile the run executes; a plan-free mode runs
+       none, so it reports the plain compile at the same width *)
     let compiled =
-      Ccdp_core.Experiment.compile_for (Ccdp_machine.Config.t3d ~n_pes:pe) mode
-        program
+      match s.compiled with
+      | Some c -> c
+      | None ->
+          Ccdp_core.Pipeline.compile (Ccdp_machine.Config.t3d ~n_pes:pe) program
     in
     Format.printf "%a@.@." Ccdp_core.Pipeline.report compiled;
-    let r = Ccdp_core.Experiment.run_program ~compiled ~n_pes:pe mode program in
+    let r = Ccdp_runtime.Interp.run s.cfg s.program ~plan:s.plan ~mode () in
     Format.printf "%a@." Ccdp_runtime.Interp.pp_result r;
     if verify then print_verification program r
   in
@@ -278,8 +305,7 @@ let load_cmd =
     Term.(const run $ file_arg $ pe_arg $ mode_arg $ verify_arg)
 
 let emit_cmd =
-  let run name n iters pe =
-    let w = Workload.find (workloads_of ~n ~iters) name in
+  let run (w : Workload.t) pe =
     let cfg = Ccdp_machine.Config.t3d ~n_pes:pe in
     let compiled = Ccdp_core.Pipeline.compile cfg w.program in
     Ccdp_core.Craft_emit.emit Format.std_formatter compiled;
@@ -288,11 +314,10 @@ let emit_cmd =
   Cmd.v
     (Cmd.info "emit"
        ~doc:"Print the compiled program as CRAFT-style Fortran with CCDP              prefetch annotations")
-    Term.(const run $ workload_arg $ n_arg $ iters_arg $ pe_arg)
+    Term.(const run $ workload_term $ pe_arg)
 
 let profile_cmd =
-  let run name n iters pe mode =
-    let w = Workload.find (workloads_of ~n ~iters) name in
+  let run (w : Workload.t) pe mode =
     let r = Ccdp_core.Experiment.run_mode ~n_pes:pe mode w in
     let p = Ccdp_ir.Program.inline w.Workload.program in
     let ep = Ccdp_ir.Epoch.partition p.Ccdp_ir.Program.main in
@@ -301,11 +326,10 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile" ~doc:"Per-epoch cycle breakdown of one run")
-    Term.(const run $ workload_arg $ n_arg $ iters_arg $ pe_arg $ mode_arg)
+    Term.(const run $ workload_term $ pe_arg $ mode_arg)
 
 let parallelize_cmd =
-  let run name n iters =
-    let w = Workload.find (workloads_of ~n ~iters) name in
+  let run (w : Workload.t) =
     let p = Ccdp_ir.Program.inline w.Workload.program in
     let _, report = Ccdp_analysis.Parallelize.transform p in
     Format.printf "%a@." Ccdp_analysis.Parallelize.pp_report report
@@ -313,7 +337,7 @@ let parallelize_cmd =
   Cmd.v
     (Cmd.info "parallelize"
        ~doc:"Run the Polaris-style dependence test over a workload")
-    Term.(const run $ workload_arg $ n_arg $ iters_arg)
+    Term.(const run $ workload_term)
 
 let fuzz_cmd =
   let seed_arg =
@@ -494,23 +518,10 @@ let check_cmd =
       $ json_arg $ werror_arg)
 
 let perf_cmd =
-  let run name n iters pe mode (_, machine) jobs =
+  let run (w : Workload.t) pe mode (_, machine) jobs =
     let jobs = resolve_jobs jobs in
-    let w = Workload.find (workloads_of ~n ~iters) name in
-    let cfg =
-      machine ~n_pes:(if mode = Ccdp_runtime.Memsys.Seq then 1 else pe)
-    in
-    let prog, plan =
-      match mode with
-      | Ccdp_runtime.Memsys.Ccdp ->
-          let compiled = Ccdp_core.Pipeline.compile cfg w.program in
-          (compiled.Ccdp_core.Pipeline.program, compiled.Ccdp_core.Pipeline.plan)
-      | Ccdp_runtime.Memsys.Clustered ->
-          let compiled =
-            Ccdp_core.Pipeline.compile cfg ~cluster_coherent:true w.program
-          in
-          (compiled.Ccdp_core.Pipeline.program, compiled.Ccdp_core.Pipeline.plan)
-      | _ -> (Ccdp_ir.Program.inline w.program, Ccdp_analysis.Annot.empty ())
+    let { Ccdp_core.Pipeline.cfg; program = prog; plan; _ } =
+      Ccdp_core.Pipeline.for_mode ~machine ~n_pes:pe mode w.program
     in
     let time f =
       ignore (f ()) (* warm up *);
@@ -556,17 +567,16 @@ let perf_cmd =
           tree-walking engine (identical simulated cycles, host wall-clock \
           and allocation compared)")
     Term.(
-      const run $ workload_arg $ n_arg $ iters_arg $ pe_arg $ mode_arg
-      $ machine_arg $ jobs_arg)
+      const run $ workload_term $ pe_arg $ mode_arg $ machine_arg $ jobs_arg)
 
 let sweep_cmd =
-  let run n iters pe name =
-    let w = Workload.find (workloads_of ~n ~iters) name in
-    Ccdp_core.Experiment.sweep_remote ~n_pes:pe w Format.std_formatter;
-    Ccdp_core.Experiment.sweep_queue ~n_pes:pe w Format.std_formatter
+  let run pe w =
+    Ccdp_core.Experiment.(
+      print_tbl Format.std_formatter (sweep_remote_table ~n_pes:pe w);
+      print_tbl Format.std_formatter (sweep_queue_table ~n_pes:pe w))
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Latency and queue-capacity sweeps")
-    Term.(const run $ n_arg $ iters_arg $ pe_arg $ workload_arg)
+    Term.(const run $ pe_arg $ workload_term)
 
 let main =
   Cmd.group

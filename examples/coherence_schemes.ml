@@ -21,15 +21,8 @@ let () =
   let n = 48 and iters = 2 and n_pes = 16 in
   let w = Tomcatv.workload ~n ~iters in
   Format.printf "Workload: %s at %d PEs@.@." w.Workload.descr n_pes;
-  let cfg = Ccdp_machine.Config.t3d ~n_pes in
-  let compiled = Pipeline.compile cfg w.Workload.program in
   let run mode =
-    let plan =
-      match mode with
-      | Memsys.Ccdp -> compiled.Pipeline.plan
-      | _ -> Ccdp_analysis.Annot.empty ()
-    in
-    let r = Interp.run cfg compiled.Pipeline.program ~plan ~mode () in
+    let r = Experiment.run_mode ~n_pes mode w in
     let v = Verify.against_sequential w.Workload.program ~init:(fun _ -> ()) r in
     (r, v)
   in

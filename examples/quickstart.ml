@@ -26,15 +26,7 @@ let () =
 
   (* 2. run the same program under four coherence regimes *)
   let run mode =
-    let r =
-      match mode with
-      | Memsys.Ccdp ->
-          Interp.run cfg compiled.Pipeline.program ~plan:compiled.Pipeline.plan
-            ~mode ()
-      | _ ->
-          Interp.run cfg compiled.Pipeline.program
-            ~plan:(Ccdp_analysis.Annot.empty ()) ~mode ()
-    in
+    let r = Experiment.run_mode ~n_pes mode w in
     let v = Verify.against_sequential w.Workload.program ~init:(fun _ -> ()) r in
     (r, v)
   in

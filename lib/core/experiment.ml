@@ -29,42 +29,13 @@ let default_spec =
     tuning = Ccdp_analysis.Schedule.default_tuning;
   }
 
-(* the clustered runtime still consumes a CCDP plan for its inter-island
-   traffic; compiling with the cluster-aware discharge drops the
-   obligations the island snoop makes redundant *)
-let compile_for ?tuning cfg mode program =
-  Pipeline.compile cfg ?tuning
-    ~cluster_coherent:(mode = Memsys.Clustered)
-    program
-
 (* [jobs]: intra-run shard count for the epoch simulation (see
    Interp.run's [pool]); [None] — the default, and what [evaluate]'s grid
    cells use from inside their own pool tasks — runs the serial walk
    without creating any pool. *)
-let run_program ?tuning ?(machine = Config.t3d) ?jobs ?compiled ~n_pes mode
-    program =
-  let go ?pool () =
-    let cfg = machine ~n_pes in
-    match mode with
-    | Memsys.Ccdp | Memsys.Clustered ->
-        let compiled =
-          match compiled with
-          | Some c -> c
-          | None -> compile_for ?tuning cfg mode program
-        in
-        Interp.run cfg ?pool compiled.Pipeline.program
-          ~plan:compiled.Pipeline.plan ~mode ()
-    | Memsys.Seq ->
-        let cfg = machine ~n_pes:1 in
-        Interp.run cfg ?pool
-          (Ccdp_ir.Program.inline program)
-          ~plan:(Ccdp_analysis.Annot.empty ()) ~mode ()
-    | Memsys.Base | Memsys.Invalidate | Memsys.Incoherent | Memsys.Hscd
-    | Memsys.Msi | Memsys.Mesi | Memsys.Directory ->
-        Interp.run cfg ?pool
-          (Ccdp_ir.Program.inline program)
-          ~plan:(Ccdp_analysis.Annot.empty ()) ~mode ()
-  in
+let run_program ?tuning ?machine ?jobs ~n_pes mode program =
+  let s = Pipeline.for_mode ?tuning ?machine ~n_pes mode program in
+  let go ?pool () = Interp.run s.cfg ?pool s.program ~plan:s.plan ~mode () in
   match jobs with
   | Some j when j > 1 -> Pool.with_pool ~jobs:j (fun pool -> go ~pool ())
   | _ -> go ()
@@ -190,9 +161,6 @@ let table2 rows =
     headers;
     trows = body;
   }
-
-let print_table1 ppf rows = print_tbl ppf (table1 rows)
-let print_table2 ppf rows = print_tbl ppf (table2 rows)
 
 let csv_rows ppf rows =
   Report.csv ppf
@@ -389,21 +357,10 @@ let ablation_vpg_levels_table ?(n_pes = 16) ?jobs workloads =
   }
 
 let ablation_topology_table ?(n_pes = 64) ?jobs workloads =
-  let run cfg mode (w : Workload.t) =
-    match mode with
-    | Memsys.Ccdp ->
-        let c = Pipeline.compile cfg w.program in
-        (Interp.run cfg c.Pipeline.program ~plan:c.Pipeline.plan ~mode ())
-          .Interp.cycles
-    | _ ->
-        (Interp.run cfg
-           (Ccdp_ir.Program.inline w.program)
-           ~plan:(Ccdp_analysis.Annot.empty ()) ~mode ())
-          .Interp.cycles
-  in
+  let run machine mode w = (run_mode ~machine ~n_pes mode w).Interp.cycles in
   let rows =
     map_workload_rows ?jobs workloads (fun (w : Workload.t) ->
-        let flat = Config.t3d ~n_pes and torus = Config.t3d_torus ~n_pes in
+        let flat = Config.t3d and torus = Config.t3d_torus in
         let bf = run flat Memsys.Base w and bt = run torus Memsys.Base w in
         let cf = run flat Memsys.Ccdp w and ct = run torus Memsys.Ccdp w in
         [
@@ -489,9 +446,6 @@ let machines_table ?(n_pes = 16) ?only ?jobs workloads =
     trows = rows;
   }
 
-let machines ?n_pes ?only workloads ppf =
-  print_tbl ppf (machines_table ?n_pes ?only workloads)
-
 (* ------------------------------------------------------------------ *)
 (* Coherence-cluster sweep                                             *)
 (* ------------------------------------------------------------------ *)
@@ -565,9 +519,6 @@ let clusters_table ?(n_pes = 16) ?only ?jobs workloads =
       ];
     trows = List.concat groups;
   }
-
-let clusters ?n_pes ?only workloads ppf =
-  print_tbl ppf (clusters_table ?n_pes ?only workloads)
 
 (* ------------------------------------------------------------------ *)
 (* Hardware-coherence rivals sweep                                     *)
@@ -678,27 +629,6 @@ let rivals_table rows =
         rows;
   }
 
-let rivals ?n_pes workloads ppf =
-  print_tbl ppf (rivals_table (rivals_rows ?n_pes workloads))
-
-let ablation_target ?n_pes workloads ppf =
-  print_tbl ppf (ablation_target_table ?n_pes workloads)
-
-let ablation_technique ?n_pes workloads ppf =
-  print_tbl ppf (ablation_technique_table ?n_pes workloads)
-
-let ablation_coherence ?n_pes workloads ppf =
-  print_tbl ppf (ablation_coherence_table ?n_pes workloads)
-
-let ablation_prefetch_clean ?n_pes workloads ppf =
-  print_tbl ppf (ablation_prefetch_clean_table ?n_pes workloads)
-
-let ablation_vpg_levels ?n_pes workloads ppf =
-  print_tbl ppf (ablation_vpg_levels_table ?n_pes workloads)
-
-let ablation_topology ?n_pes workloads ppf =
-  print_tbl ppf (ablation_topology_table ?n_pes workloads)
-
 (* ------------------------------------------------------------------ *)
 (* Sweeps                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -709,36 +639,17 @@ let map_point_rows ?jobs points f =
     (fun _ p -> f p)
     points
 
-let sweep_with_cfg (w : Workload.t) cfg =
-  let compiled = Pipeline.compile cfg w.Workload.program in
-  let ccdp =
-    (Interp.run cfg compiled.Pipeline.program ~plan:compiled.Pipeline.plan
-       ~mode:Memsys.Ccdp ())
-      .Interp.cycles
-  in
-  let base =
-    (Interp.run cfg compiled.Pipeline.program
-       ~plan:(Ccdp_analysis.Annot.empty ()) ~mode:Memsys.Base ())
-      .Interp.cycles
-  in
-  (base, ccdp)
+(* cycles of [w] under [mode] on the t3d machine with [edit] applied *)
+let sweep_cycles ~n_pes edit mode w =
+  (run_mode ~machine:(fun ~n_pes -> edit (Config.t3d ~n_pes)) ~n_pes mode w)
+    .Interp.cycles
 
 let sweep_cache_table ?(n_pes = 16) ?(points = [ 512; 1024; 2048; 4096; 8192 ])
     ?jobs (w : Workload.t) =
   let rows =
     map_point_rows ?jobs points (fun cache_words ->
-        let cfg = { (Config.t3d ~n_pes) with Config.cache_words } in
         let run mode =
-          match mode with
-          | Memsys.Ccdp ->
-              let c = Pipeline.compile cfg w.Workload.program in
-              (Interp.run cfg c.Pipeline.program ~plan:c.Pipeline.plan ~mode ())
-                .Interp.cycles
-          | _ ->
-              (Interp.run cfg
-                 (Ccdp_ir.Program.inline w.Workload.program)
-                 ~plan:(Ccdp_analysis.Annot.empty ()) ~mode ())
-                .Interp.cycles
+          sweep_cycles ~n_pes (fun c -> { c with Config.cache_words }) mode w
         in
         [
           string_of_int cache_words;
@@ -759,8 +670,10 @@ let sweep_remote_table ?(n_pes = 16) ?(points = [ 30; 60; 90; 150; 300; 600 ])
     ?jobs (w : Workload.t) =
   let rows =
     map_point_rows ?jobs points (fun remote ->
-        let cfg = { (Config.t3d ~n_pes) with Config.remote } in
-        let base, ccdp = sweep_with_cfg w cfg in
+        let run mode =
+          sweep_cycles ~n_pes (fun c -> { c with Config.remote }) mode w
+        in
+        let base = run Memsys.Base and ccdp = run Memsys.Ccdp in
         [
           string_of_int remote;
           string_of_int base;
@@ -802,12 +715,3 @@ let sweep_queue_table ?(n_pes = 16) ?(points = [ 4; 8; 16; 32; 64 ]) ?jobs
     headers = [ "queue (words)"; "CCDP cycles"; "dropped"; "late" ];
     trows = rows;
   }
-
-let sweep_cache ?n_pes ?points w ppf =
-  print_tbl ppf (sweep_cache_table ?n_pes ?points w)
-
-let sweep_remote ?n_pes ?points w ppf =
-  print_tbl ppf (sweep_remote_table ?n_pes ?points w)
-
-let sweep_queue ?n_pes ?points w ppf =
-  print_tbl ppf (sweep_queue_table ?n_pes ?points w)

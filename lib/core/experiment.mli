@@ -37,22 +37,8 @@ type spec = {
 
 val default_spec : spec
 
-(** The compile a CCDP-plan mode runs on machine [cfg]: the clustered
-    mode's uses the cluster-aware discharge, every other mode's is the
-    plain compile. *)
-val compile_for :
-  ?tuning:Ccdp_analysis.Schedule.tuning ->
-  Ccdp_machine.Config.t ->
-  Ccdp_runtime.Memsys.mode ->
-  Ccdp_ir.Program.t ->
-  Pipeline.t
-
-(** Run one program at one machine width under one mode: the mode's whole
-    set-up. CCDP-plan modes run {!compile_for} with [tuning], or
-    [compiled] when the caller already has that compile for the same
-    machine; [Seq] runs on a one-PE machine whatever [n_pes] says; the
-    other modes run the inlined program with an empty plan. [machine]
-    selects the machine preset (default {!Ccdp_machine.Config.t3d}).
+(** Run one program at one machine width under one mode, set up by
+    {!Pipeline.for_mode} (which [tuning] and [machine] are passed to).
     [jobs > 1] simulates the run's DOALL epochs in that many domain shards
     (intra-run parallelism, see {!Ccdp_runtime.Interp.run}); the default
     runs serially without creating a pool — the simulated result is
@@ -61,7 +47,6 @@ val run_program :
   ?tuning:Ccdp_analysis.Schedule.tuning ->
   ?machine:(n_pes:int -> Ccdp_machine.Config.t) ->
   ?jobs:int ->
-  ?compiled:Pipeline.t ->
   n_pes:int ->
   Ccdp_runtime.Memsys.mode ->
   Ccdp_ir.Program.t ->
@@ -97,12 +82,6 @@ val print_tbl : Format.formatter -> table -> unit
 val table1 : row list -> table
 
 val table2 : row list -> table
-
-(** Paper Table 1: speedups over sequential execution time. *)
-val print_table1 : Format.formatter -> row list -> unit
-
-(** Paper Table 2: % improvement of CCDP over BASE. *)
-val print_table2 : Format.formatter -> row list -> unit
 
 (** Machine-readable export of the evaluation rows (one line per
     workload/width with speedups, improvement and verification flags). *)
@@ -152,13 +131,6 @@ val machines_table :
   Ccdp_workloads.Workload.t list ->
   table
 
-val machines :
-  ?n_pes:int ->
-  ?only:string ->
-  Ccdp_workloads.Workload.t list ->
-  Format.formatter ->
-  unit
-
 (** The CXL-style coherence-cluster presets the cluster sweep reports, in
     table order: 2, 4 and 8 islands on the crossbar fabric. *)
 val cluster_presets :
@@ -177,13 +149,6 @@ val clusters_table :
   ?jobs:int ->
   Ccdp_workloads.Workload.t list ->
   table
-
-val clusters :
-  ?n_pes:int ->
-  ?only:string ->
-  Ccdp_workloads.Workload.t list ->
-  Format.formatter ->
-  unit
 
 (** {1 Hardware-coherence rivals}
 
@@ -220,28 +185,6 @@ val rivals_rows :
 
 val rivals_table : rival_row list -> table
 
-val rivals :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-(** Printing shorthands for the ablation tables (sequential). *)
-val ablation_target :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-val ablation_technique :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-val ablation_coherence :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-val ablation_prefetch_clean :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-val ablation_vpg_levels :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-val ablation_topology :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
 (** Sweeps: remote latency, prefetch-queue capacity and cache capacity
     (shape studies), one row per point, sharded over [jobs]. *)
 val sweep_remote_table :
@@ -252,21 +195,9 @@ val sweep_queue_table :
   ?n_pes:int -> ?points:int list -> ?jobs:int -> Ccdp_workloads.Workload.t ->
   table
 
-val sweep_cache_table :
-  ?n_pes:int -> ?points:int list -> ?jobs:int -> Ccdp_workloads.Workload.t ->
-  table
-
-val sweep_remote :
-  ?n_pes:int -> ?points:int list -> Ccdp_workloads.Workload.t ->
-  Format.formatter -> unit
-
-val sweep_queue :
-  ?n_pes:int -> ?points:int list -> Ccdp_workloads.Workload.t ->
-  Format.formatter -> unit
-
 (** Cache-capacity sweep across the coherence schemes: blanket invalidation
     wastes retention that version-based HSCD and CCDP keep as capacity
     grows. *)
-val sweep_cache :
-  ?n_pes:int -> ?points:int list -> Ccdp_workloads.Workload.t ->
-  Format.formatter -> unit
+val sweep_cache_table :
+  ?n_pes:int -> ?points:int list -> ?jobs:int -> Ccdp_workloads.Workload.t ->
+  table

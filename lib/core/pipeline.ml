@@ -18,6 +18,13 @@ type t = {
          when compiling for the clustered runtime, 1 otherwise *)
 }
 
+type setup = {
+  cfg : Ccdp_machine.Config.t;
+  program : Program.t;
+  plan : Annot.plan;
+  compiled : t option;
+}
+
 let compile cfg ?(tuning = Schedule.default_tuning) ?innermost_only
     ?group_spatial ?(prefetch_clean = false) ?(cluster_coherent = false)
     ?(mutate_stale = fun s -> s) program =
@@ -57,7 +64,33 @@ let compile cfg ?(tuning = Schedule.default_tuning) ?innermost_only
     cluster_pes;
   }
 
-let report ppf t =
+let for_mode ?tuning ?prefetch_clean ?mutate_stale
+    ?(machine = Ccdp_machine.Config.t3d) ~n_pes mode program =
+  let open Ccdp_runtime in
+  let cfg = machine ~n_pes:(if mode = Memsys.Seq then 1 else n_pes) in
+  let planned ~cluster_coherent =
+    let c =
+      compile cfg ?tuning ?prefetch_clean ~cluster_coherent ?mutate_stale
+        program
+    in
+    { cfg; program = c.program; plan = c.plan; compiled = Some c }
+  in
+  match mode with
+  | Memsys.Ccdp -> planned ~cluster_coherent:false
+  (* the clustered runtime still consumes a CCDP plan for its inter-island
+     traffic; the cluster-aware discharge drops the obligations the island
+     snoop makes redundant, and is sound under no other mode *)
+  | Memsys.Clustered -> planned ~cluster_coherent:true
+  | Memsys.Seq | Memsys.Base | Memsys.Invalidate | Memsys.Incoherent
+  | Memsys.Hscd | Memsys.Msi | Memsys.Mesi | Memsys.Directory ->
+      {
+        cfg;
+        program = Program.inline program;
+        plan = Annot.empty ();
+        compiled = None;
+      }
+
+let report ppf (t : t) =
   Format.fprintf ppf "@[<v>== %s ==@,%a@,@,-- epochs --@,%a@,@,-- %a@,@,%a@,@,\
                       -- scheduling --@,%a@,-- plan --@,%a@]"
     t.program.Program.name

@@ -25,6 +25,15 @@ type t = {
           re-derives obligations with the same width. *)
 }
 
+(** What one mode runs ({!for_mode}): the machine, the inlined program
+    and the plan. *)
+type setup = {
+  cfg : Ccdp_machine.Config.t;
+  program : Ccdp_ir.Program.t;  (** inlined *)
+  plan : Ccdp_analysis.Annot.plan;
+  compiled : t option;  (** the compile behind [plan]; [None] when plan-free *)
+}
+
 (** [mutate_stale] rewrites the stale-analysis result before target
     analysis and scheduling consume it — a fault-injection hook: the
     differential fuzzer drops a mark to prove the staleness oracle catches
@@ -35,7 +44,8 @@ type t = {
     writers provably land in the reader's hardware-coherent island
     ({!Ccdp_analysis.Region.aligned_cluster} at the machine's
     [Config.cluster_pes]). Unsound for every other mode — flat runs on a
-    clustered machine must leave it off. *)
+    clustered machine must leave it off; {!for_mode} sets it for exactly
+    that mode. *)
 val compile :
   Ccdp_machine.Config.t ->
   ?tuning:Ccdp_analysis.Schedule.tuning ->
@@ -46,6 +56,23 @@ val compile :
   ?mutate_stale:(Ccdp_analysis.Stale.result -> Ccdp_analysis.Stale.result) ->
   Ccdp_ir.Program.t ->
   t
+
+(** The set-up rule every comparison of coherence schemes runs under.
+    [Seq] runs on a one-PE [machine] whatever [n_pes] says; [Ccdp] runs
+    the {!compile} with [tuning], [prefetch_clean] and [mutate_stale];
+    [Clustered] runs the same compile with [~cluster_coherent:true]; every
+    other mode runs the inlined program with an empty plan and compiles
+    nothing. [machine] selects the machine preset (default
+    {!Ccdp_machine.Config.t3d}). *)
+val for_mode :
+  ?tuning:Ccdp_analysis.Schedule.tuning ->
+  ?prefetch_clean:bool ->
+  ?mutate_stale:(Ccdp_analysis.Stale.result -> Ccdp_analysis.Stale.result) ->
+  ?machine:(n_pes:int -> Ccdp_machine.Config.t) ->
+  n_pes:int ->
+  Ccdp_runtime.Memsys.mode ->
+  Ccdp_ir.Program.t ->
+  setup
 
 (** Human-readable compilation report: epoch structure, stale counts,
     target groups, scheduling decisions. *)

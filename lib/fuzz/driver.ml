@@ -34,42 +34,38 @@ type summary = {
 
 (* BASE runs with an empty plan and uncached shared data; the CCDP
    variants compile with one scheduling technique allowed (the others
-   fall back through the demotion chain, so each plan is still total). *)
-type variant = {
-  vname : string;
-  mode : Memsys.mode;
-  tuning : Schedule.tuning option;
-}
+   fall back through the demotion chain, so each plan is still total).
+   A plan-free mode compiles nothing, so its tuning is unused. *)
+type variant = { vname : string; mode : Memsys.mode; tuning : Schedule.tuning }
 
 let variants =
   let t = Schedule.default_tuning in
   [
-    { vname = "BASE"; mode = Memsys.Base; tuning = None };
-    { vname = "CCDP/all"; mode = Memsys.Ccdp; tuning = Some t };
+    { vname = "BASE"; mode = Memsys.Base; tuning = t };
+    { vname = "CCDP/all"; mode = Memsys.Ccdp; tuning = t };
     {
       vname = "CCDP/vpg";
       mode = Memsys.Ccdp;
-      tuning = Some { t with Schedule.allow_sp = false; allow_mbp = false };
+      tuning = { t with Schedule.allow_sp = false; allow_mbp = false };
     };
     {
       vname = "CCDP/sp";
       mode = Memsys.Ccdp;
-      tuning = Some { t with Schedule.allow_vpg = false; allow_mbp = false };
+      tuning = { t with Schedule.allow_vpg = false; allow_mbp = false };
     };
     {
       vname = "CCDP/mbp";
       mode = Memsys.Ccdp;
-      tuning = Some { t with Schedule.allow_vpg = false; allow_sp = false };
+      tuning = { t with Schedule.allow_vpg = false; allow_sp = false };
     };
     (* hardware-coherence rivals: plan-free like BASE, the protocol itself
        carries the whole coherence obligation *)
-    { vname = "MSI"; mode = Memsys.Msi; tuning = None };
-    { vname = "MESI"; mode = Memsys.Mesi; tuning = None };
-    { vname = "DIR"; mode = Memsys.Directory; tuning = None };
-    (* hardware-coherent islands under a cluster-aware CCDP plan: the
-       machine is re-islanded (see [cluster_cfg]) and the compile runs
-       with the cluster discharge enabled *)
-    { vname = "CLU"; mode = Memsys.Clustered; tuning = Some t };
+    { vname = "MSI"; mode = Memsys.Msi; tuning = t };
+    { vname = "MESI"; mode = Memsys.Mesi; tuning = t };
+    { vname = "DIR"; mode = Memsys.Directory; tuning = t };
+    (* hardware-coherent islands under a cluster-aware CCDP plan, on the
+       re-islanded machine (see [machine_for]) *)
+    { vname = "CLU"; mode = Memsys.Clustered; tuning = t };
   ]
 
 let variant_names = List.map (fun v -> v.vname) variants
@@ -77,14 +73,17 @@ let variant_names = List.map (fun v -> v.vname) variants
 let cfg_of (d : Gen.desc) =
   Config.of_kind d.Gen.net ~n_pes:d.Gen.n_pes
 
-(* The clustered variant re-islands the generated machine: two islands
+(* The generated machine, re-islanded for the clustered mode: two islands
    when the width divides, flat singleton islands otherwise (odd widths
    still exercise the protocol — every remote-homed write then crosses a
-   cluster boundary). *)
-let cluster_cfg cfg =
-  let n = cfg.Config.n_pes in
-  let cp = if n > 1 && n mod 2 = 0 then n / 2 else 1 in
-  { cfg with Config.cluster_pes = cp }
+   cluster boundary). A flat machine would leave that protocol nothing to
+   do. *)
+let machine_for (d : Gen.desc) mode ~n_pes =
+  let cfg = Config.of_kind d.Gen.net ~n_pes in
+  if mode <> Memsys.Clustered then cfg
+  else
+    let cp = if n_pes > 1 && n_pes mod 2 = 0 then n_pes / 2 else 1 in
+    { cfg with Config.cluster_pes = cp }
 
 let drop_stale_mark k (r : Stale.result) =
   match List.sort compare (Stale.stale_ids r) with
@@ -96,23 +95,13 @@ let drop_stale_mark k (r : Stale.result) =
       Hashtbl.replace verdicts victim Stale.Clean;
       { r with Stale.verdicts; n_stale = r.Stale.n_stale - 1 }
 
-let run_variant ?mutate_stale ?pool cfg (d : Gen.desc) program v =
-  let cfg, cluster_coherent =
-    match v.mode with
-    | Memsys.Clustered -> (cluster_cfg cfg, true)
-    | _ -> (cfg, false)
+let run_variant ?mutate_stale ?pool (d : Gen.desc) program v =
+  let s =
+    Pipeline.for_mode ~tuning:v.tuning ~prefetch_clean:d.Gen.pclean
+      ?mutate_stale ~machine:(machine_for d v.mode) ~n_pes:d.Gen.n_pes v.mode
+      program
   in
-  match v.tuning with
-  | None ->
-      Interp.run cfg ~oracle:true ?pool program ~plan:(Annot.empty ())
-        ~mode:v.mode ()
-  | Some tuning ->
-      let compiled =
-        Pipeline.compile cfg ~tuning ~prefetch_clean:d.Gen.pclean ?mutate_stale
-          ~cluster_coherent program
-      in
-      Interp.run cfg ~oracle:true ?pool compiled.Pipeline.program
-        ~plan:compiled.Pipeline.plan ~mode:v.mode ()
+  Interp.run s.cfg ~oracle:true ?pool s.program ~plan:s.plan ~mode:v.mode ()
 
 (* The static leg of the differential: certify the default-tuning compile
    with the coherence verifier. [st_caught]/[st_escape] record whether an
@@ -209,7 +198,7 @@ let check_full ?mutate_stale ?pool (d : Gen.desc) =
   let rec loop = function
     | [] -> None
     | v :: rest -> (
-        let r = run_variant ?mutate_stale ?pool cfg d program v in
+        let r = run_variant ?mutate_stale ?pool d program v in
         incr runs;
         checks := !checks + Memsys.oracle_checked r.Interp.sys;
         let nviol = Memsys.oracle_violation_count r.Interp.sys in
@@ -404,25 +393,17 @@ let run_sabotage case (d : Gen.desc) =
   let cfg = cfg_of d in
   let program = Gen.build d in
   let seq = Seq_oracle.run cfg program () in
-  (* the snooping/directory rivals are plan-free; the clustered mode keeps
-     the CCDP discipline across islands, so its sabotage run needs the
-     re-islanded machine and a plan compiled with the cluster discharge —
-     exactly the configuration whose soundness leans on the back-
-     invalidations the fault drops *)
-  let cfg, run_program, plan =
-    match case.sb_mode with
-    | Memsys.Clustered ->
-        let ccfg = cluster_cfg cfg in
-        let compiled =
-          Pipeline.compile ccfg ~cluster_coherent:true
-            ~prefetch_clean:d.Gen.pclean program
-        in
-        (ccfg, compiled.Pipeline.program, compiled.Pipeline.plan)
-    | _ -> (cfg, program, Annot.empty ())
+  (* the clustered case runs on the re-islanded machine under the
+     cluster-discharge plan — exactly the configuration whose soundness
+     leans on the back-invalidations the fault drops *)
+  let s =
+    Pipeline.for_mode ~prefetch_clean:d.Gen.pclean
+      ~machine:(machine_for d case.sb_mode) ~n_pes:d.Gen.n_pes case.sb_mode
+      program
   in
   let r =
-    Interp.run cfg ~oracle:true ~sabotage:case.sb_fault run_program ~plan
-      ~mode:case.sb_mode ()
+    Interp.run s.cfg ~oracle:true ~sabotage:case.sb_fault s.program
+      ~plan:s.plan ~mode:case.sb_mode ()
   in
   let fired = Memsys.sabotage_fired r.Interp.sys in
   let caught = Memsys.oracle_violation_count r.Interp.sys > 0 in

@@ -20,32 +20,9 @@ module Interp = Ccdp_runtime.Interp
 module Interp_ref = Ccdp_runtime.Interp_ref
 module Gen = Ccdp_fuzz.Gen
 module Workload = Ccdp_workloads.Workload
+module Pipeline = Ccdp_core.Pipeline
 
-let modes =
-  Memsys.
-    [
-      Seq; Base; Ccdp; Invalidate; Incoherent; Hscd; Msi; Mesi; Directory;
-      Clustered;
-    ]
-
-(* same per-mode setup as Experiment.run_mode: CCDP compiles the full
-   pipeline (Clustered additionally with the cluster-aware discharge),
-   every other mode runs the inlined program unannotated, Seq forces one
-   PE. [machine] picks the interconnect preset (default: the
-   uniform-latency t3d). *)
-let setup ?(machine = Ccdp_machine.Config.t3d) ~n_pes mode
-    (program : Ccdp_ir.Program.t) =
-  let cfg = machine ~n_pes:(if mode = Memsys.Seq then 1 else n_pes) in
-  match mode with
-  | Memsys.Ccdp ->
-      let compiled = Ccdp_core.Pipeline.compile cfg program in
-      (cfg, compiled.Ccdp_core.Pipeline.program, compiled.Ccdp_core.Pipeline.plan)
-  | Memsys.Clustered ->
-      let compiled =
-        Ccdp_core.Pipeline.compile cfg ~cluster_coherent:true program
-      in
-      (cfg, compiled.Ccdp_core.Pipeline.program, compiled.Ccdp_core.Pipeline.plan)
-  | _ -> (cfg, Ccdp_ir.Program.inline program, Ccdp_analysis.Annot.empty ())
+let modes = Memsys.all_modes
 
 (* one shared 4-worker pool for the sharded re-runs below; created once
    around the whole suite (see the bottom of the file) because domain
@@ -53,7 +30,9 @@ let setup ?(machine = Ccdp_machine.Config.t3d) ~n_pes mode
 let shard_pool : Ccdp_exec.Pool.t option ref = ref None
 
 let assert_equal_runs ?machine name program ~n_pes mode =
-  let cfg, prog, plan = setup ?machine ~n_pes mode program in
+  let { Pipeline.cfg; program = prog; plan; _ } =
+    Pipeline.for_mode ?machine ~n_pes mode program
+  in
   let a = Interp.run cfg prog ~plan ~mode () in
   let b = Interp_ref.run cfg prog ~plan ~mode () in
   let against tagp (r : Interp.result) =
@@ -220,7 +199,9 @@ let alloc_cases =
     case "compiled engine allocates < 50% of the reference (MXM/ccdp)"
       (fun () ->
         let w = Ccdp_workloads.Mxm.workload ~n:32 in
-        let cfg, prog, plan = setup ~n_pes:8 Memsys.Ccdp w.Workload.program in
+        let { Pipeline.cfg; program = prog; plan; _ } =
+          Pipeline.for_mode ~n_pes:8 Memsys.Ccdp w.Workload.program
+        in
         let plan_mw =
           minor_words_of (fun () ->
               Interp.run cfg prog ~plan ~mode:Memsys.Ccdp ())

@@ -39,8 +39,8 @@ let printing =
         let rs = rows () in
         let buf = Buffer.create 256 in
         let ppf = Format.formatter_of_buffer buf in
-        Experiment.print_table1 ppf rs;
-        Experiment.print_table2 ppf rs;
+        Experiment.print_tbl ppf (Experiment.table1 rs);
+        Experiment.print_tbl ppf (Experiment.table2 rs);
         Format.pp_print_flush ppf ();
         check_true "mentions Table 1" (String.length (Buffer.contents buf) > 100));
     case "report table rejects ragged rows" (fun () ->
@@ -58,14 +58,19 @@ let ablations =
         let ws = [ Extras.jacobi ~n:12 ~iters:1 ] in
         let buf = Buffer.create 256 in
         let ppf = Format.formatter_of_buffer buf in
-        Experiment.ablation_target ~n_pes:4 ws ppf;
-        Experiment.ablation_technique ~n_pes:4 ws ppf;
-        Experiment.ablation_coherence ~n_pes:4 ws ppf;
-        Experiment.sweep_remote ~n_pes:4 ~points:[ 40; 90 ] (List.hd ws) ppf;
-        Experiment.sweep_queue ~n_pes:4 ~points:[ 8; 16 ] (List.hd ws) ppf;
-        Experiment.sweep_cache ~n_pes:4 ~points:[ 512; 1024 ] (List.hd ws) ppf;
-        Experiment.ablation_vpg_levels ~n_pes:4 ws ppf;
-        Experiment.ablation_topology ~n_pes:8 ws ppf;
+        let w = List.hd ws in
+        List.iter (Experiment.print_tbl ppf)
+          Experiment.
+            [
+              ablation_target_table ~n_pes:4 ws;
+              ablation_technique_table ~n_pes:4 ws;
+              ablation_coherence_table ~n_pes:4 ws;
+              sweep_remote_table ~n_pes:4 ~points:[ 40; 90 ] w;
+              sweep_queue_table ~n_pes:4 ~points:[ 8; 16 ] w;
+              sweep_cache_table ~n_pes:4 ~points:[ 512; 1024 ] w;
+              ablation_vpg_levels_table ~n_pes:4 ws;
+              ablation_topology_table ~n_pes:8 ws;
+            ];
         Format.pp_print_flush ppf ();
         check_true "output produced" (String.length (Buffer.contents buf) > 300));
     case "single-technique tuning still verifies" (fun () ->
@@ -94,7 +99,7 @@ let future_work =
           Pipeline.compile cfg ~prefetch_clean:true
             w.Ccdp_workloads.Workload.program
         in
-        let count c =
+        let count (c : Pipeline.t) =
           (Ccdp_analysis.Annot.count c.Pipeline.plan).Ccdp_analysis.Annot.n_lead
         in
         check_true "more leads" (count plus > count plain);
@@ -110,10 +115,47 @@ let future_work =
     case "prefetch_clean report runs" (fun () ->
         let buf = Buffer.create 128 in
         let ppf = Format.formatter_of_buffer buf in
-        Experiment.ablation_prefetch_clean ~n_pes:4
-          [ Extras.triad ~n:12 ] ppf;
+        Experiment.print_tbl ppf
+          (Experiment.ablation_prefetch_clean_table ~n_pes:4
+             [ Extras.triad ~n:12 ]);
         Format.pp_print_flush ppf ();
         check_true "output" (String.length (Buffer.contents buf) > 50));
+  ]
+
+(* the one set-up rule the coherence schemes are compared under, on a
+   machine with two-PE islands so the two plan modes' discharges differ *)
+let setup =
+  [
+    case "for_mode gives each mode its machine, program and plan" (fun () ->
+        let open Ccdp_runtime in
+        let w = Swim.workload ~n:16 ~iters:1 in
+        let inlined = Ccdp_ir.Program.inline w.Workload.program in
+        let no_plan = Ccdp_analysis.Annot.(count (empty ())) in
+        List.iter
+          (fun mode ->
+            let s =
+              Pipeline.for_mode ~machine:Ccdp_machine.Config.cxl_4x16 ~n_pes:8
+                mode w.Workload.program
+            in
+            let tag c = Memsys.mode_name mode ^ ": " ^ c in
+            check_true (tag "inlined program") (s.program = inlined);
+            check_int (tag "width")
+              (if mode = Memsys.Seq then 1 else 8)
+              s.cfg.Ccdp_machine.Config.n_pes;
+            match (mode, s.compiled) with
+            | Memsys.Ccdp, Some c ->
+                check_int (tag "flat discharge") 1 c.Pipeline.cluster_pes;
+                check_true (tag "its plan") (s.plan == c.Pipeline.plan)
+            | Memsys.Clustered, Some c ->
+                check_int (tag "island discharge") 2 c.Pipeline.cluster_pes;
+                check_true (tag "its plan") (s.plan == c.Pipeline.plan)
+            | (Memsys.Ccdp | Memsys.Clustered), None ->
+                Alcotest.fail (tag "no compile")
+            | _, Some _ -> Alcotest.fail (tag "a plan-free mode compiled")
+            | _, None ->
+                check_true (tag "empty plan")
+                  (Ccdp_analysis.Annot.count s.plan = no_plan))
+          Memsys.all_modes);
   ]
 
 let () =
@@ -123,4 +165,5 @@ let () =
       ("printing", printing);
       ("ablations", ablations);
       ("future-work", future_work);
+      ("set-up", setup);
     ]

@@ -2,17 +2,7 @@ open Ccdp_runtime
 open Ccdp_workloads
 open Ccdp_test_support.Tutil
 
-let run mode (w : Workload.t) =
-  let cfg = Ccdp_machine.Config.t3d ~n_pes:4 in
-  match mode with
-  | Memsys.Ccdp ->
-      let c = Ccdp_core.Pipeline.compile cfg w.program in
-      Interp.run cfg c.Ccdp_core.Pipeline.program ~plan:c.Ccdp_core.Pipeline.plan
-        ~mode ()
-  | _ ->
-      Interp.run cfg
-        (Ccdp_ir.Program.inline w.program)
-        ~plan:(Ccdp_analysis.Annot.empty ()) ~mode ()
+let run mode w = Ccdp_core.Experiment.run_mode ~n_pes:4 mode w
 
 let in_unit x = x >= 0.0 && x <= 1.0
 

@@ -177,14 +177,14 @@ let roundtrip_one name =
   let text = Ccdp_core.Craft_emit.to_string c1 in
   let p2 = Craft_parse.program text in
   let c2 = Ccdp_core.Pipeline.compile cfg p2 in
-  let counts c = Ccdp_analysis.Annot.count c.Ccdp_core.Pipeline.plan in
+  let counts (c : Ccdp_core.Pipeline.t) = Ccdp_analysis.Annot.count c.Ccdp_core.Pipeline.plan in
   check_int (name ^ " stale count") c1.Ccdp_core.Pipeline.stale.Ccdp_analysis.Stale.n_stale
     c2.Ccdp_core.Pipeline.stale.Ccdp_analysis.Stale.n_stale;
   check_int (name ^ " leads") (counts c1).Ccdp_analysis.Annot.n_lead
     (counts c2).Ccdp_analysis.Annot.n_lead;
   check_int (name ^ " vector ops") (counts c1).Ccdp_analysis.Annot.n_vector
     (counts c2).Ccdp_analysis.Annot.n_vector;
-  let run c =
+  let run (c : Ccdp_core.Pipeline.t) =
     Ccdp_runtime.Interp.run cfg c.Ccdp_core.Pipeline.program
       ~plan:c.Ccdp_core.Pipeline.plan ~mode:Ccdp_runtime.Memsys.Ccdp ()
   in

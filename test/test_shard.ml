@@ -20,6 +20,7 @@ open Ccdp_test_support.Tutil
 module Memsys = Ccdp_runtime.Memsys
 module Interp = Ccdp_runtime.Interp
 module Pool = Ccdp_exec.Pool
+module Pipeline = Ccdp_core.Pipeline
 module Gen = Ccdp_fuzz.Gen
 module Workload = Ccdp_workloads.Workload
 
@@ -27,15 +28,6 @@ module Workload = Ccdp_workloads.Workload
    whole suite (domain spawn per property iteration would dominate) *)
 let pools : (int * Pool.t) list ref = ref []
 let jobs_under_test = [ 1; 2; 7 ]
-
-let setup ?(machine = Ccdp_machine.Config.t3d) ~n_pes mode
-    (program : Ccdp_ir.Program.t) =
-  let cfg = machine ~n_pes:(if mode = Memsys.Seq then 1 else n_pes) in
-  match mode with
-  | Memsys.Ccdp ->
-      let compiled = Ccdp_core.Pipeline.compile cfg program in
-      (cfg, compiled.Ccdp_core.Pipeline.program, compiled.Ccdp_core.Pipeline.plan)
-  | _ -> (cfg, Ccdp_ir.Program.inline program, Ccdp_analysis.Annot.empty ())
 
 (* every deterministic observable of a run, oracle log in order *)
 let obs (r : Interp.result) =
@@ -56,7 +48,9 @@ let same_memory prog ~(serial : Interp.result) ~(sharded : Interp.result) =
 
 (* serial run vs the same run over each pool; true iff all identical *)
 let equivalent ?machine ~n_pes mode program =
-  let cfg, prog, plan = setup ?machine ~n_pes mode program in
+  let { Pipeline.cfg; program = prog; plan; _ } =
+    Pipeline.for_mode ?machine ~n_pes mode program
+  in
   let serial = Interp.run cfg ~oracle:true prog ~plan ~mode () in
   List.for_all
     (fun jobs ->
@@ -130,8 +124,8 @@ let dynamic_desc =
   }
 
 let run_with mode ?machine ?pool desc =
-  let cfg, prog, plan =
-    setup ?machine ~n_pes:desc.Gen.n_pes mode (Gen.build desc)
+  let { Pipeline.cfg; program = prog; plan; _ } =
+    Pipeline.for_mode ?machine ~n_pes:desc.Gen.n_pes mode (Gen.build desc)
   in
   (prog, Interp.run cfg ~oracle:true ?pool prog ~plan ~mode ())
 

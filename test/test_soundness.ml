@@ -202,27 +202,25 @@ let tunings =
 
 let check_sound ~mode (d, n_pes, tuning_ix) =
   let program = build d in
-  let cfg =
+  let machine =
     (* rotate through the interconnect presets: half the draws stay on
        the uniform machine, the rest exercise torus, mesh and crossbar
        (the last with its link-contention model on) *)
     match tuning_ix mod 6 with
-    | 2 -> Ccdp_machine.Config.t3d_torus ~n_pes
-    | 4 -> Ccdp_machine.Config.t3d_mesh ~n_pes
-    | 5 -> Ccdp_machine.Config.t3d_xbar ~n_pes
-    | _ -> Ccdp_machine.Config.t3d ~n_pes
+    | 2 -> Ccdp_machine.Config.t3d_torus
+    | 4 -> Ccdp_machine.Config.t3d_mesh
+    | 5 -> Ccdp_machine.Config.t3d_xbar
+    | _ -> Ccdp_machine.Config.t3d
   in
   let tuning = List.nth tunings (tuning_ix mod List.length tunings) in
   (* odd draws also exercise the future-work extension (prefetching clean
      references) *)
   let prefetch_clean = tuning_ix mod 2 = 1 in
-  let compiled = Ccdp_core.Pipeline.compile cfg ~tuning ~prefetch_clean program in
-  let plan =
-    match mode with
-    | Memsys.Ccdp -> compiled.Ccdp_core.Pipeline.plan
-    | _ -> Ccdp_analysis.Annot.empty ()
+  let s =
+    Ccdp_core.Pipeline.for_mode ~tuning ~prefetch_clean ~machine ~n_pes mode
+      program
   in
-  let r = Interp.run cfg compiled.Ccdp_core.Pipeline.program ~plan ~mode () in
+  let r = Interp.run s.cfg s.program ~plan:s.plan ~mode () in
   let v = Verify.against_sequential program ~init:(fun _ -> ()) r in
   if not v.Verify.ok then
     QCheck.Test.fail_reportf "mode %s diverged: %s" (Memsys.mode_name mode)
@@ -271,7 +269,7 @@ let check_roundtrip (d, n_pes, _) =
       QCheck.Test.fail_reportf "reparse failed at line %d, column %d: %s@.%s"
         ln c m text
   in
-  let run c =
+  let run (c : Ccdp_core.Pipeline.t) =
     (Interp.run cfg c.Ccdp_core.Pipeline.program ~plan:c.Ccdp_core.Pipeline.plan
        ~mode:Memsys.Ccdp ())
       .Interp.cycles

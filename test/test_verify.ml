@@ -3,17 +3,7 @@ open Ccdp_runtime
 open Ccdp_workloads
 open Ccdp_test_support.Tutil
 
-let run_mode mode (w : Workload.t) n_pes =
-  let cfg = Config.t3d ~n_pes in
-  match mode with
-  | Memsys.Ccdp ->
-      let c = Ccdp_core.Pipeline.compile cfg w.program in
-      Interp.run cfg c.Ccdp_core.Pipeline.program ~plan:c.Ccdp_core.Pipeline.plan
-        ~mode ()
-  | _ ->
-      Interp.run cfg
-        (Ccdp_ir.Program.inline w.program)
-        ~plan:(Ccdp_analysis.Annot.empty ()) ~mode ()
+module Experiment = Ccdp_core.Experiment
 
 (* The value oracle against the timed one-PE SEQ run it replaces: the
    whole image, padding and private arrays included, bit for bit. *)
@@ -51,14 +41,14 @@ let tests =
   [
     case "identical states verify" (fun () ->
         let w = Extras.jacobi ~n:10 ~iters:1 in
-        let r = run_mode Memsys.Base w 4 in
+        let r = Experiment.run_mode ~n_pes:4 Memsys.Base w in
         let rep = Verify.against_sequential w.Workload.program ~init:(fun _ -> ()) r in
         check_true "ok" rep.Verify.ok;
         check_true "checked elements" (rep.Verify.checked > 0);
         check_float "no diff" 0.0 rep.Verify.max_abs_diff);
     case "incoherent execution is caught with element detail" (fun () ->
         let w = Extras.jacobi ~n:10 ~iters:2 in
-        let r = run_mode Memsys.Incoherent w 4 in
+        let r = Experiment.run_mode ~n_pes:4 Memsys.Incoherent w in
         let rep = Verify.against_sequential w.Workload.program ~init:(fun _ -> ()) r in
         check_false "broken" rep.Verify.ok;
         check_true "has witnesses" (rep.Verify.mismatches <> []);
@@ -66,18 +56,18 @@ let tests =
         check_true "reports array name" (String.length m.Verify.array_name > 0));
     case "the CCDP scheme repairs the incoherence" (fun () ->
         let w = Extras.jacobi ~n:10 ~iters:2 in
-        let r = run_mode Memsys.Ccdp w 4 in
+        let r = Experiment.run_mode ~n_pes:4 Memsys.Ccdp w in
         let rep = Verify.against_sequential w.Workload.program ~init:(fun _ -> ()) r in
         check_true "coherent" rep.Verify.ok);
     case "invalidation also repairs it (the conservative way)" (fun () ->
         let w = Extras.jacobi ~n:10 ~iters:2 in
-        let r = run_mode Memsys.Invalidate w 4 in
+        let r = Experiment.run_mode ~n_pes:4 Memsys.Invalidate w in
         let rep = Verify.against_sequential w.Workload.program ~init:(fun _ -> ()) r in
         check_true "coherent" rep.Verify.ok);
     case "tolerance admits small differences" (fun () ->
         let w = Extras.triad ~n:8 in
-        let a = run_mode Memsys.Base w 2 in
-        let b = run_mode Memsys.Base w 2 in
+        let a = Experiment.run_mode ~n_pes:2 Memsys.Base w in
+        let b = Experiment.run_mode ~n_pes:2 Memsys.Base w in
         let rep =
           Verify.compare_states ~tol:0.5 ~expected:a.Interp.sys ~got:b.Interp.sys
             (Ccdp_ir.Program.inline w.Workload.program)
@@ -85,9 +75,9 @@ let tests =
         check_true "ok" rep.Verify.ok);
     case "max_report caps the mismatch list" (fun () ->
         let w = Extras.jacobi ~n:10 ~iters:2 in
-        let r = run_mode Memsys.Incoherent w 4 in
+        let r = Experiment.run_mode ~n_pes:4 Memsys.Incoherent w in
         let seq =
-          run_mode Memsys.Seq w 1
+          Experiment.run_mode ~n_pes:1 Memsys.Seq w
         in
         let rep =
           Verify.compare_states ~max_report:2 ~expected:seq.Interp.sys
@@ -104,7 +94,8 @@ let tests =
     case "a NaN on one side is a mismatch, on both sides a match" (fun () ->
         let w = Extras.triad ~n:8 in
         let p = Ccdp_ir.Program.inline w.Workload.program in
-        let a = run_mode Memsys.Base w 2 and b = run_mode Memsys.Base w 2 in
+        let a = Experiment.run_mode ~n_pes:2 Memsys.Base w in
+        let b = Experiment.run_mode ~n_pes:2 Memsys.Base w in
         Memsys.set b.Interp.sys "XA" [| 3; 5 |] Float.nan;
         let rep =
           Verify.compare_states ~expected:a.Interp.sys ~got:b.Interp.sys p

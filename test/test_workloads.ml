@@ -13,16 +13,7 @@ let compile (w : Workload.t) =
   Ccdp_core.Pipeline.compile (Config.t3d ~n_pes) w.program
 
 let run_and_verify mode (w : Workload.t) =
-  let cfg = Config.t3d ~n_pes in
-  let r =
-    match mode with
-    | Memsys.Ccdp ->
-        let c = compile w in
-        Interp.run cfg c.Ccdp_core.Pipeline.program ~plan:c.Ccdp_core.Pipeline.plan
-          ~mode ()
-    | _ ->
-        Interp.run cfg (Program.inline w.program) ~plan:(Annot.empty ()) ~mode ()
-  in
+  let r = Ccdp_core.Experiment.run_mode ~n_pes mode w in
   (r, Verify.against_sequential w.program ~init:(fun _ -> ()) r)
 
 let structural =
@@ -47,6 +38,17 @@ let structural =
     case "mxm insists on n divisible by 4" (fun () ->
         check_true "raises"
           (try ignore (Mxm.program ~n:10); false with Invalid_argument _ -> true));
+    case "find builds only the named workload" (fun () ->
+        List.iter
+          (fun (w : Workload.t) ->
+            Alcotest.(check string) "name" w.name
+              (Suite.find ~n ~iters:2 w.name).Workload.name)
+          suite;
+        (* a size MXM rejects does not stop another workload *)
+        ignore (Suite.find ~n:10 "jacobi");
+        check_true "unknown name raises"
+          (try ignore (Suite.find "nosuch"); false
+           with Invalid_argument _ -> true));
   ]
 
 let classification =
