@@ -89,11 +89,9 @@ type t = {
           entirely) *)
   link_busy : int array;  (** per destination port: next free cycle *)
   link_depth : int array;  (** transfers queued in the current busy burst *)
-  mutable bus_booked : int;
-      (** snoop bus: cycles of service demanded since the last barrier *)
-  cbus_booked : int array;
-      (** per-cluster snoop bus: cycles of service demanded since the last
-          barrier on each island's local bus *)
+  bus_demand : int array;
+      (** snoop buses: cycles of service demanded since the last barrier,
+          one slot per island and the machine-wide bus last *)
 }
 
 let hops_geom geom a b =
@@ -145,8 +143,7 @@ let create ?(hop = 0) ?(cluster_pes = 1) kind ~n_pes =
     costs;
     link_busy = Array.make n_pes 0;
     link_depth = Array.make n_pes 0;
-    bus_booked = 0;
-    cbus_booked = Array.make (n_pes / cluster_pes) 0;
+    bus_demand = Array.make ((n_pes / cluster_pes) + 1) 0;
   }
 
 let kind t = t.kind
@@ -188,41 +185,36 @@ let acquire t ~dst ~now ~hold =
     (busy - now, depth)
   end
 
-(* The snoop bus is one machine-wide resource every MSI/MESI coherence
-   transaction (miss fetch, upgrade, write-allocate) serializes through.
-   It cannot reuse the port model's next-free-cycle booking: the engines
+(* Bus [n_clusters], after the islands' buses. *)
+let machine_bus t = n_clusters t
+
+(* A snoop bus is a resource every coherence transaction of its domain
+   (miss fetch, upgrade, write-allocate) serializes through: the whole
+   machine under MSI/MESI, one island under the Clustered mode. It
+   cannot reuse the port model's next-free-cycle booking: the engines
    execute a parallel epoch PE-major (each PE's whole epoch replayed on its
    private clock), so a bus timestamped against one PE's finished wall
    clock would charge every later PE the earlier PEs' entire progression
    as queueing — a quadratic simulation artifact. Instead the bus is a
-   throughput bottleneck: [bus_booked] accumulates the cycles of service
-   demanded since the last barrier, and a transaction at local time [now]
-   waits for whatever backlog the bus cannot have drained in the
-   [now - since] cycles its PE has been past that barrier. Per-PE demand
-   stays almost free (a PE's own elapsed time outruns its own holds); the
-   backlog — and with it snooping's scaling wall — grows with every PE
-   sharing the one bus. Deterministic and replay-order independent enough:
-   both engines book the identical global sequence. Returns
+   throughput bottleneck: [bus_demand.(bus)] accumulates the cycles of
+   service demanded since the last barrier, and a transaction at local
+   time [now] waits for whatever backlog the bus cannot have drained in
+   the [now - since] cycles its PE has been past that barrier. Per-PE
+   demand stays almost free (a PE's own elapsed time outruns its own
+   holds); the backlog — and with it snooping's scaling wall — grows with
+   every PE sharing the bus. Buses are independent, so one island's storm
+   never delays another's. Deterministic and replay-order independent
+   enough: both engines book the identical global sequence. Returns
    (delay, transactions queued ahead, including this one). *)
-let acquire_bus t ~now ~since ~hold =
-  let backlog = t.bus_booked - (now - since) in
-  t.bus_booked <- t.bus_booked + hold;
-  if backlog > 0 then (backlog, (backlog / hold) + 1) else (0, 1)
-
-(* Same throughput-backlog model, one counter per coherence cluster: the
-   Clustered mode's island snoops serialize on their island's local bus,
-   never the machine-wide one, so congestion in one cluster cannot delay
-   another. *)
-let acquire_cluster_bus t ~cluster ~now ~since ~hold =
-  let backlog = t.cbus_booked.(cluster) - (now - since) in
-  t.cbus_booked.(cluster) <- t.cbus_booked.(cluster) + hold;
+let acquire_bus t ~bus ~now ~since ~hold =
+  let backlog = t.bus_demand.(bus) - (now - since) in
+  t.bus_demand.(bus) <- t.bus_demand.(bus) + hold;
   if backlog > 0 then (backlog, (backlog / hold) + 1) else (0, 1)
 
 let reset_links t =
   Array.fill t.link_busy 0 t.n_pes 0;
   Array.fill t.link_depth 0 t.n_pes 0;
-  t.bus_booked <- 0;
-  Array.fill t.cbus_booked 0 (Array.length t.cbus_booked) 0
+  Array.fill t.bus_demand 0 (Array.length t.bus_demand) 0
 
 let pp ppf t =
   (match t.geom with

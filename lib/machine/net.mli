@@ -12,7 +12,7 @@
     [cluster_pes] consecutive PEs form one island whose internal transfers
     ride a cheap local fabric ([cost] folds same-cluster pairs to 0) and
     whose island-local snoop traffic serializes on a per-cluster bus
-    ([acquire_cluster_bus]). [cluster_pes = 1] is the flat machine: every
+    ([acquire_bus]). [cluster_pes = 1] is the flat machine: every
     PE is its own singleton cluster and nothing changes. *)
 
 type kind =
@@ -77,25 +77,21 @@ val cost : t -> src:int -> dst:int -> int
     Deterministic — link state is a pure function of the acquire sequence. *)
 val acquire : t -> dst:int -> now:int -> hold:int -> int * int
 
-(** [acquire_bus t ~now ~since ~hold] books [hold] cycles of the
-    machine-wide serialized snoop bus for a transaction happening at local
-    cycle [now] on a PE whose current epoch began at cycle [since] (the
-    post-barrier clock). Returns [(queueing_delay, backlog_depth)]. The
-    bus is modelled as a throughput bottleneck — accumulated service
-    demand since the last barrier versus the requester's elapsed epoch
-    time — rather than a next-free-cycle port, because epochs are
-    replayed PE-major on private clocks (see the implementation comment).
-    Every PE's coherence transactions share the single counter; only the
-    bus-snooping modes use it. Deterministic. *)
-val acquire_bus : t -> now:int -> since:int -> hold:int -> int * int
+(** The snoop bus shared by the whole machine (the MSI/MESI bus); buses
+    [0 .. n_clusters - 1] are the islands' local buses. *)
+val machine_bus : t -> int
 
-(** [acquire_cluster_bus t ~cluster ~now ~since ~hold] is [acquire_bus]
-    scoped to one island's local snoop bus: the same throughput-backlog
-    model with an independent counter per cluster, so one island's
-    coherence storm never delays another's. Used by the Clustered mode's
-    intra-cluster snoops. *)
-val acquire_cluster_bus :
-  t -> cluster:int -> now:int -> since:int -> hold:int -> int * int
+(** [acquire_bus t ~bus ~now ~since ~hold] books [hold] cycles of snoop
+    bus [bus] (an island's {!cluster_of} index, or {!machine_bus}) for a
+    transaction happening at local cycle [now] on a PE whose current
+    epoch began at cycle [since] (the post-barrier clock). Returns
+    [(queueing_delay, backlog_depth)]. Each bus is a throughput
+    bottleneck — accumulated service demand since the last barrier versus
+    the requester's elapsed epoch time — rather than a next-free-cycle
+    port, because epochs are replayed PE-major on private clocks (see the
+    implementation comment). Buses book independently, so one island's
+    coherence storm never delays another's. Deterministic. *)
+val acquire_bus : t -> bus:int -> now:int -> since:int -> hold:int -> int * int
 
 (** Forget all link (and bus) bookings (barriers drain the network). *)
 val reset_links : t -> unit

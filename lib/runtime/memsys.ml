@@ -89,6 +89,30 @@ type violation = {
   v_read_epoch : int;  (** epoch in which the stale hit happened *)
 }
 
+let max_kept_violations = 16
+
+(* Oracle assertions and their witnesses, either settled or staged by one
+   PE of a buffered mode until the barrier. *)
+type ledger = {
+  mutable checked : int;  (** assertions evaluated *)
+  mutable n_stale : int;  (** stale hits, exact even when [witnesses] is full *)
+  mutable witnesses : violation list;
+      (** the first [max_kept_violations] stale hits, newest first *)
+}
+
+let ledger () = { checked = 0; n_stale = 0; witnesses = [] }
+
+(* Append [src] to [dst]: the counts add up and [src]'s witnesses follow
+   [dst]'s, oldest first, while the cap allows. *)
+let merge dst src =
+  dst.checked <- dst.checked + src.checked;
+  dst.n_stale <- dst.n_stale + src.n_stale;
+  List.iter
+    (fun v ->
+      if List.compare_length_with dst.witnesses max_kept_violations < 0 then
+        dst.witnesses <- v :: dst.witnesses)
+    (List.rev src.witnesses)
+
 type oracle = {
   wver : int array;  (** per-word last-write version *)
   wepoch : int array;  (** epoch tick of the last write; -1 = init *)
@@ -97,12 +121,8 @@ type oracle = {
           clustered exemption rule (and only meaningful unbuffered, where
           versions settle at the write itself). *)
   mutable next_ver : int;
-  mutable checked : int;
-  mutable n_violations : int;
-  mutable violations : violation list;  (** first few witnesses, newest first *)
+  settled : ledger;
 }
-
-let max_kept_violations = 16
 
 (* Per-PE vector-get staging buffer. The consumption order (oldest staged
    line evicted first) is kept as a FIFO of [(line, generation)] pairs with
@@ -125,9 +145,7 @@ type pe_ctx = {
      barrier so sharded execution reproduces the serial reduction exactly. *)
   mutable wbuf : int array;  (** addresses written this epoch, program order *)
   mutable wn : int;
-  mutable pchecked : int;  (** staged oracle assertions *)
-  mutable pnviol : int;  (** staged violation count (exact) *)
-  mutable pviol : violation list;  (** staged witnesses, newest first *)
+  staged : ledger;
   pobs : (int, unit) Hashtbl.t;  (** staged INCOHERENT observed-stale ids *)
   fbuf : float array;  (** scratch line for patched buffered fills *)
   vbuf : int array;  (** scratch version line for patched buffered fills *)
@@ -214,9 +232,7 @@ let make cfg ~oracle ~sabotage (p : Program.t) ~plan md ~buffered =
           wepoch = Array.make words (-1);
           wpe = Array.make words (-1);
           next_ver = 0;
-          checked = 0;
-          n_violations = 0;
-          violations = [];
+          settled = ledger ();
         }
     else None
   in
@@ -265,9 +281,7 @@ let make cfg ~oracle ~sabotage (p : Program.t) ~plan md ~buffered =
             epoch_start = 0;
             wbuf = (if buffered then Array.make 64 0 else [||]);
             wn = 0;
-            pchecked = 0;
-            pnviol = 0;
-            pviol = [];
+            staged = ledger ();
             pobs = Hashtbl.create 16;
             fbuf =
               (if buffered then Array.make cfg.Config.line_words 0.0 else [||]);
@@ -448,34 +462,16 @@ let store_cost t ~pe tgt =
 
 (* Snoop-bus arbitration: every MSI/MESI coherence transaction (miss
    fetch, upgrade, write-allocate) serializes through one machine-wide
-   bus, modelled as a throughput backlog against the epoch barrier (see
-   Net.acquire_bus). The queueing delay is what stops snooping from
-   scaling with PE count. *)
-let bus_acquire t ctx ~lines =
+   bus, and every clustered island transaction through its island's
+   local bus, so one island's storm never delays another's. Each bus is a
+   throughput backlog against the epoch barrier (see Net.acquire_bus);
+   the queueing delay is what stops snooping from scaling with PE
+   count. *)
+let bus_acquire t ctx ~bus ~lines =
   if t.cfg.Config.bus_occ = 0 then 0
   else begin
     let delay, _depth =
-      Net.acquire_bus t.net ~now:ctx.pe.Pe.clock ~since:ctx.epoch_start
-        ~hold:(t.cfg.Config.bus_occ * lines)
-    in
-    if delay > 0 then begin
-      let s = ctx.pe.Pe.stats in
-      s.Stats.bus_conflicts <- s.Stats.bus_conflicts + 1
-    end;
-    delay
-  end
-
-(* Island-bus arbitration: the clustered mode's intra-cluster coherence
-   transactions serialize on their island's local bus — the same
-   throughput-backlog model, but one counter per cluster, so one island's
-   storm never delays another's. *)
-let cluster_bus_acquire t ctx ~lines =
-  if t.cfg.Config.bus_occ = 0 then 0
-  else begin
-    let delay, _depth =
-      Net.acquire_cluster_bus t.net
-        ~cluster:(Net.cluster_of t.net ctx.pe.Pe.id)
-        ~now:ctx.pe.Pe.clock ~since:ctx.epoch_start
+      Net.acquire_bus t.net ~bus ~now:ctx.pe.Pe.clock ~since:ctx.epoch_start
         ~hold:(t.cfg.Config.bus_occ * lines)
     in
     if delay > 0 then begin
@@ -629,72 +625,47 @@ let oracle_check t ctx (r : Reference.t) idx addr =
         st >= base && st <> base + ctx.pe.Pe.id
       in
       let stale =
+        (o.wver.(addr) > cv
+        &&
         match t.hw with
+        | Hw_none -> o.wepoch.(addr) < t.epoch_tick
+        | Hw_snoop _ | Hw_dir _ -> true
         | Hw_cluster ->
             (* clustered exemption: only a same-cluster write of the
                current epoch may be observed without a violation — the
                island's snoop keeps such copies coherent, while any
                cross-epoch or cross-cluster stale observation is exactly
                the escape the inter-cluster CCDP discipline must prevent *)
-            o.wver.(addr) > cv
-            && not
-                 (o.wepoch.(addr) = t.epoch_tick
-                 && o.wpe.(addr) >= 0
-                 && Net.same_cluster t.net o.wpe.(addr) ctx.pe.Pe.id)
-        | Hw_none | Hw_snoop _ | Hw_dir _ ->
-            let eager =
-              match t.hw with
-              | Hw_none | Hw_cluster -> false
-              | Hw_snoop _ | Hw_dir _ -> true
-            in
-            (o.wver.(addr) > cv && (eager || o.wepoch.(addr) < t.epoch_tick))
-            || foreign_fresh
+            not
+              (o.wepoch.(addr) = t.epoch_tick
+              && o.wpe.(addr) >= 0
+              && Net.same_cluster t.net o.wpe.(addr) ctx.pe.Pe.id))
+        || foreign_fresh
       in
-      if t.buffered then begin
-        (* stage in the PE's private ledger; merged PE-major at the
-           barrier — serial replay executes PEs in exactly that order, so
-           the merged log reproduces the serial one *)
-        ctx.pchecked <- ctx.pchecked + 1;
-        if stale then begin
-          ctx.pnviol <- ctx.pnviol + 1;
-          if ctx.pnviol <= max_kept_violations then
-            ctx.pviol <-
-              {
-                v_ref = r.Reference.id;
-                v_pe = ctx.pe.Pe.id;
-                v_array = r.Reference.array_name;
-                v_index = Array.copy idx;
-                v_addr = addr;
-                v_cached_version = cv;
-                v_mem_version = o.wver.(addr);
-                v_write_epoch =
-                  (if foreign_fresh then t.epoch_tick else o.wepoch.(addr));
-                v_read_epoch = t.epoch_tick;
-              }
-              :: ctx.pviol
-        end
-      end
-      else begin
-        o.checked <- o.checked + 1;
-        if stale then begin
-          o.n_violations <- o.n_violations + 1;
-          (* bounded witness list: prepend (newest first), reversed at
-             report time — the n-th violation costs O(1), not O(kept) *)
-          if o.n_violations <= max_kept_violations then
-            o.violations <-
-              {
-                v_ref = r.Reference.id;
-                v_pe = ctx.pe.Pe.id;
-                v_array = r.Reference.array_name;
-                v_index = Array.copy idx;
-                v_addr = addr;
-                v_cached_version = cv;
-                v_mem_version = o.wver.(addr);
-                v_write_epoch = o.wepoch.(addr);
-                v_read_epoch = t.epoch_tick;
-              }
-              :: o.violations
-        end
+      (* buffered modes stage in the PE's private ledger, merged PE-major
+         at the barrier — serial replay executes PEs in exactly that
+         order, so the merged log reproduces the serial one *)
+      let l = if t.buffered then ctx.staged else o.settled in
+      l.checked <- l.checked + 1;
+      if stale then begin
+        l.n_stale <- l.n_stale + 1;
+        (* bounded witness list: prepend (newest first), reversed at
+           report time — the n-th violation costs O(1), not O(kept) *)
+        if l.n_stale <= max_kept_violations then
+          l.witnesses <-
+            {
+              v_ref = r.Reference.id;
+              v_pe = ctx.pe.Pe.id;
+              v_array = r.Reference.array_name;
+              v_index = Array.copy idx;
+              v_addr = addr;
+              v_cached_version = cv;
+              v_mem_version = o.wver.(addr);
+              v_write_epoch =
+                (if foreign_fresh then t.epoch_tick else o.wepoch.(addr));
+              v_read_epoch = t.epoch_tick;
+            }
+            :: l.witnesses
       end
 
 (* Consume a staged vector-get line: drop the table entries; the FIFO entry
@@ -703,6 +674,28 @@ let vget_consume ctx line lw =
   Hashtbl.remove ctx.vget line;
   Hashtbl.remove ctx.vstamp line;
   ctx.vget_words <- ctx.vget_words - lw
+
+(* A read served by the cached line at offset [off]; the oracle asserts
+   over tracked reads. *)
+let hit ~track t ctx (r : Reference.t) idx addr off =
+  if track then oracle_check t ctx r idx addr;
+  ctx.pe.Pe.stats.Stats.hits <- ctx.pe.Pe.stats.Stats.hits + 1;
+  Pe.advance ctx.pe t.cfg.Config.hit;
+  Cache.data_at ctx.pe.Pe.cache off
+
+let count_miss ctx tgt =
+  let s = ctx.pe.Pe.stats in
+  if tgt < 0 then s.Stats.miss_local <- s.Stats.miss_local + 1
+  else s.Stats.miss_remote <- s.Stats.miss_remote + 1
+
+(* A prefetched line arrives: the reader stalls for whatever latency is
+   left at [ready], pays [extract] cycles to take the line, and fills. *)
+let arrive t ctx ~ready ~extract line addr =
+  let stall = max 0 (ready - ctx.pe.Pe.clock) in
+  record_arrival ctx ~stall;
+  Pe.advance ctx.pe (stall + extract);
+  fill t ctx line;
+  filled_value t ctx addr
 
 (* The ordinary cached-read protocol: consume a pending vector-get or queue
    entry if one exists, then the cache, then demand-fetch. [fresh_only]
@@ -713,59 +706,39 @@ let vget_consume ctx line lw =
    dynamic reference in the report). *)
 let cached_read ?(fresh_only = false) ?(track = false) t ctx (r : Reference.t)
     idx addr tgt =
-  let self = ctx.pe.Pe.id in
   let lw = t.cfg.Config.line_words in
   let line = addr / lw in
   match Hashtbl.find_opt ctx.vget line with
   | Some ready ->
-      let stall = max 0 (ready - ctx.pe.Pe.clock) in
       vget_consume ctx line lw;
-      record_arrival ctx ~stall;
-      Pe.advance ctx.pe (stall + t.cfg.Config.hit);
-      fill t ctx line;
-      filled_value t ctx addr
+      arrive t ctx ~ready ~extract:t.cfg.Config.hit line addr
   | None -> (
       match Prefetch_queue.find ctx.pe.Pe.queue ~line with
       | Some ready ->
-          let stall = max 0 (ready - ctx.pe.Pe.clock) in
           Prefetch_queue.remove ctx.pe.Pe.queue ~line;
-          record_arrival ctx ~stall;
-          Pe.advance ctx.pe (stall + t.cfg.Config.pf_extract);
-          fill t ctx line;
-          filled_value t ctx addr
+          arrive t ctx ~ready ~extract:t.cfg.Config.pf_extract line addr
       | None ->
           let off =
             if fresh_only && not (Hashtbl.mem ctx.fresh line) then -1
             else Cache.locate ctx.pe.Pe.cache ~addr
           in
-          if off >= 0 then begin
-            if track then oracle_check t ctx r idx addr;
-            ctx.pe.Pe.stats.Stats.hits <- ctx.pe.Pe.stats.Stats.hits + 1;
-            Pe.advance ctx.pe t.cfg.Config.hit;
-            Cache.data_at ctx.pe.Pe.cache off
-          end
+          if off >= 0 then hit ~track t ctx r idx addr off
           else begin
-            (let s = ctx.pe.Pe.stats in
-             if tgt < 0 then s.Stats.miss_local <- s.Stats.miss_local + 1
-             else s.Stats.miss_remote <- s.Stats.miss_remote + 1);
+            count_miss ctx tgt;
             let ac = annex_cost t ctx tgt in
             let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
-            Pe.advance ctx.pe (ac + latency_of t ~pe:self tgt + delay);
+            Pe.advance ctx.pe (ac + latency_of t ~pe:ctx.pe.Pe.id tgt + delay);
             fill t ctx line;
             filled_value t ctx addr
           end)
 
-let uncached_read t ctx addr tgt =
+(* A read around the cache, counted as a bypass or as BASE's uncached
+   access. *)
+let uncached_read ~bypass t ctx addr tgt =
   (let s = ctx.pe.Pe.stats in
-   if tgt < 0 then s.Stats.uncached_local <- s.Stats.uncached_local + 1
+   if bypass then s.Stats.bypass_reads <- s.Stats.bypass_reads + 1
+   else if tgt < 0 then s.Stats.uncached_local <- s.Stats.uncached_local + 1
    else s.Stats.uncached_remote <- s.Stats.uncached_remote + 1);
-  let ac = annex_cost t ctx tgt in
-  let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
-  Pe.advance ctx.pe (ac + uncached_latency_of t ~pe:ctx.pe.Pe.id tgt + delay);
-  t.mem.(addr)
-
-let bypass_read t ctx addr tgt =
-  ctx.pe.Pe.stats.Stats.bypass_reads <- ctx.pe.Pe.stats.Stats.bypass_reads + 1;
   let ac = annex_cost t ctx tgt in
   let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
   Pe.advance ctx.pe (ac + uncached_latency_of t ~pe:ctx.pe.Pe.id tgt + delay);
@@ -776,19 +749,15 @@ let bypass_read t ctx addr tgt =
 let moved_back_read t ctx addr tgt ~back =
   let s = ctx.pe.Pe.stats in
   s.Stats.pf_issued <- s.Stats.pf_issued + 1;
-  let lw = t.cfg.Config.line_words in
-  let line = addr / lw in
+  let line = addr / t.cfg.Config.line_words in
   let issue_at = max ctx.epoch_start (ctx.pe.Pe.clock - back) in
   let delay = contend t ctx tgt ~now:issue_at ~lines:1 in
   let ready = issue_at + latency_of t ~pe:ctx.pe.Pe.id tgt + delay in
-  let stall = max 0 (ready - ctx.pe.Pe.clock) in
-  record_arrival ctx ~stall;
-  Pe.advance ctx.pe
-    (annex_cost t ctx tgt + t.cfg.Config.pf_issue + t.cfg.Config.pf_extract
-   + stall);
   Cache.invalidate_line ctx.pe.Pe.cache ~line;
-  fill t ctx line;
-  filled_value t ctx addr
+  arrive t ctx ~ready
+    ~extract:
+      (annex_cost t ctx tgt + t.cfg.Config.pf_issue + t.cfg.Config.pf_extract)
+    line addr
 
 (* ------------------------------------------------------------------ *)
 (* Public protocol                                                     *)
@@ -853,19 +822,19 @@ let hscd_read ver t ctx (r : Reference.t) idx addr tgt =
    replay identical sequences.                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Snoop phase of a bus transaction: probe every other cache. A read
-   transaction ([invalidate = false]) downgrades E/M holders to S — a
-   Modified holder first flushes, and the requester pays that flush. A
-   write/upgrade transaction invalidates every remote copy. Returns
-   (copies found, write-back penalty). Under [Drop_invalidate] sabotage
-   the first copy an invalidation should kill survives — with identical
-   accounting, which is exactly why only the staleness oracle (or the
-   numerics) can witness the fault. *)
-let snoop_others t ~self ~line ~invalidate =
+(* Snoop phase of a bus transaction: probe every other cache of PEs
+   [lo, hi) — the whole machine under MSI/MESI, one island under the
+   clustered mode. A read transaction ([invalidate = false]) downgrades
+   E/M holders to S — a Modified holder first flushes, and the requester
+   pays that flush. A write/upgrade transaction invalidates every copy it
+   finds. Returns (copies found, write-back penalty). [drop] (armed by
+   sabotage) lets the first copy an invalidation should kill survive —
+   with identical accounting, which is exactly why only the staleness
+   oracle (or the numerics) can witness the fault. *)
+let snoop t ~lo ~hi ~self ~line ~invalidate ~drop =
   let copies = ref 0 and wb = ref 0 in
-  let drop = ref (invalidate && t.sab = Drop_invalidate) in
-  let n = Array.length t.ctxs in
-  for p = 0 to n - 1 do
+  let drop = ref drop in
+  for p = lo to hi - 1 do
     if p <> self then begin
       let c = t.ctxs.(p).pe.Pe.cache in
       let st = Cache.line_state c ~line in
@@ -886,30 +855,27 @@ let snoop_others t ~self ~line ~invalidate =
   done;
   (!copies, !wb)
 
-let snoop_read mesi t ctx (r : Reference.t) idx addr tgt =
+(* A bus-snooped read of the PEs [lo, hi) on bus [bus]: any valid state
+   (S/E/M) is read locally without a bus transaction; a miss arbitrates
+   the bus and snoops. [exclusive] is MESI's one edge over MSI: a miss
+   nobody else holds fills Exclusive, so the first write back to it
+   upgrades silently. *)
+let snoop_read ~exclusive ~lo ~hi ~bus t ctx (r : Reference.t) idx addr tgt =
   let off = Cache.locate ctx.pe.Pe.cache ~addr in
-  if off >= 0 then begin
-    (* any valid state (S/E/M) may be read locally, no bus transaction *)
-    oracle_check t ctx r idx addr;
-    ctx.pe.Pe.stats.Stats.hits <- ctx.pe.Pe.stats.Stats.hits + 1;
-    Pe.advance ctx.pe t.cfg.Config.hit;
-    Cache.data_at ctx.pe.Pe.cache off
-  end
+  if off >= 0 then hit ~track:true t ctx r idx addr off
   else begin
     let self = ctx.pe.Pe.id in
     let line = addr / t.cfg.Config.line_words in
-    (let s = ctx.pe.Pe.stats in
-     if tgt < 0 then s.Stats.miss_local <- s.Stats.miss_local + 1
-     else s.Stats.miss_remote <- s.Stats.miss_remote + 1);
+    count_miss ctx tgt;
     let ac = annex_cost t ctx tgt in
-    let bus = bus_acquire t ctx ~lines:1 in
-    let copies, wb = snoop_others t ~self ~line ~invalidate:false in
+    let bus = bus_acquire t ctx ~bus ~lines:1 in
+    let copies, wb =
+      snoop t ~lo ~hi ~self ~line ~invalidate:false ~drop:false
+    in
     let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
     Pe.advance ctx.pe (ac + bus + latency_of t ~pe:self tgt + delay + wb);
-    (* MESI's one edge over MSI: a miss nobody else holds fills Exclusive,
-       so the first write back to it upgrades silently *)
     let state =
-      if mesi && copies = 0 then Coherence.exclusive else Coherence.shared
+      if exclusive && copies = 0 then Coherence.exclusive else Coherence.shared
     in
     fill ~state t ctx line;
     t.mem.(addr)
@@ -929,8 +895,11 @@ let snoop_write mesi t ctx wh ~addr =
   else begin
     let tgt = Addr_map.target_of wh ~pe:self ~addr in
     let s = ctx.pe.Pe.stats in
-    let bus = bus_acquire t ctx ~lines:1 in
-    let others, wb = snoop_others t ~self ~line ~invalidate:true in
+    let bus = bus_acquire t ctx ~bus:(Net.machine_bus t.net) ~lines:1 in
+    let others, wb =
+      snoop t ~lo:0 ~hi:(Array.length t.ctxs) ~self ~line ~invalidate:true
+        ~drop:(t.sab = Drop_invalidate)
+    in
     s.Stats.invalidations <- s.Stats.invalidations + others;
     if st <> Coherence.invalid then begin
       (* S -> M upgrade: an ownership broadcast, no data transfer *)
@@ -949,18 +918,12 @@ let snoop_write mesi t ctx wh ~addr =
 
 let dir_read d t ctx (r : Reference.t) idx addr tgt =
   let off = Cache.locate ctx.pe.Pe.cache ~addr in
-  if off >= 0 then begin
-    oracle_check t ctx r idx addr;
-    ctx.pe.Pe.stats.Stats.hits <- ctx.pe.Pe.stats.Stats.hits + 1;
-    Pe.advance ctx.pe t.cfg.Config.hit;
-    Cache.data_at ctx.pe.Pe.cache off
-  end
+  if off >= 0 then hit ~track:true t ctx r idx addr off
   else begin
     let self = ctx.pe.Pe.id in
     let line = addr / t.cfg.Config.line_words in
     let s = ctx.pe.Pe.stats in
-    if tgt < 0 then s.Stats.miss_local <- s.Stats.miss_local + 1
-    else s.Stats.miss_remote <- s.Stats.miss_remote + 1;
+    count_miss ctx tgt;
     let ac = annex_cost t ctx tgt in
     (* the line's directory home is co-located with its owner PE in the
        address map: [tgt < 0] means the reader itself is home *)
@@ -1059,72 +1022,18 @@ let dir_write d t ctx wh ~addr =
    carry CCDP prefetch/bypass obligations.                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Snoop phase scoped to one island: probe every other cache whose PE
-   lives in [cluster]. Semantics mirror [snoop_others]; [sab] requests the
-   Drop_inter_cluster_invalidate skip of the first copy (armed only for
-   cross-cluster back-invalidations). *)
-let snoop_cluster t ~cluster ~self ~line ~invalidate ~sab =
-  let cp = Net.cluster_pes t.net in
-  let lo = cluster * cp in
-  let copies = ref 0 and wb = ref 0 in
-  let drop = ref sab in
-  for p = lo to lo + cp - 1 do
-    if p <> self then begin
-      let c = t.ctxs.(p).pe.Pe.cache in
-      let st = Cache.line_state c ~line in
-      if st <> Coherence.invalid then begin
-        incr copies;
-        if st = Coherence.modified then wb := t.cfg.Config.store_remote;
-        if invalidate then begin
-          if !drop then begin
-            drop := false;
-            t.sab_fired <- true
-          end
-          else Cache.invalidate_line c ~line
-        end
-        else if st > Coherence.shared then
-          Cache.set_line_state c ~line Coherence.shared
-      end
-    end
-  done;
-  (!copies, !wb)
-
-(* Intra-cluster read: MESI over the island. Reaches only addresses homed
-   in the requester's island (or locally), so the latency model charges
-   the cheap local rate and the transaction arbitrates the island's own
-   bus. Every call is an access the flat machine would have sent across
-   the interconnect under the stale discipline — counted as a cluster
-   hit. *)
-let cluster_read t ctx (r : Reference.t) idx addr tgt =
+(* Intra-cluster read: MESI over the requester's island. Reaches only
+   addresses homed in the requester's island (or locally), so the latency
+   model charges the cheap local rate (and no link contention) and the
+   transaction arbitrates the island's own bus. Every call is an access
+   the flat machine would have sent across the interconnect under the
+   stale discipline — counted as a cluster hit. *)
+let cluster_read t ctx r idx addr tgt =
   let s = ctx.pe.Pe.stats in
   s.Stats.cluster_hits <- s.Stats.cluster_hits + 1;
-  let off = Cache.locate ctx.pe.Pe.cache ~addr in
-  if off >= 0 then begin
-    oracle_check t ctx r idx addr;
-    s.Stats.hits <- s.Stats.hits + 1;
-    Pe.advance ctx.pe t.cfg.Config.hit;
-    Cache.data_at ctx.pe.Pe.cache off
-  end
-  else begin
-    let self = ctx.pe.Pe.id in
-    let line = addr / t.cfg.Config.line_words in
-    if tgt < 0 then s.Stats.miss_local <- s.Stats.miss_local + 1
-    else s.Stats.miss_remote <- s.Stats.miss_remote + 1;
-    let ac = annex_cost t ctx tgt in
-    let bus = cluster_bus_acquire t ctx ~lines:1 in
-    let copies, wb =
-      snoop_cluster t
-        ~cluster:(Net.cluster_of t.net self)
-        ~self ~line ~invalidate:false ~sab:false
-    in
-    Pe.advance ctx.pe (ac + bus + latency_of t ~pe:self tgt + wb);
-    (* island-exclusive fill when no island sibling holds a copy *)
-    let state =
-      if copies = 0 then Coherence.exclusive else Coherence.shared
-    in
-    fill ~state t ctx line;
-    t.mem.(addr)
-  end
+  let c = Net.cluster_of t.net ctx.pe.Pe.id and cp = Net.cluster_pes t.net in
+  snoop_read ~exclusive:true ~lo:(c * cp) ~hi:((c + 1) * cp) ~bus:c t ctx r
+    idx addr tgt
 
 (* Clustered write: snoop the writer's own island on every tracked write,
    plus the CXL-style back-invalidation — the write-through lands in the
@@ -1150,17 +1059,22 @@ let cluster_write t ctx wh ~addr =
   let s = ctx.pe.Pe.stats in
   let tgt = Addr_map.target_of wh ~pe:self ~addr in
   let home = if tgt < 0 then self else tgt in
+  let cp = Net.cluster_pes t.net in
   let my_cluster = Net.cluster_of t.net self in
   let home_cluster = Net.cluster_of t.net home in
-  let bus = cluster_bus_acquire t ctx ~lines:1 in
+  let bus = bus_acquire t ctx ~bus:my_cluster ~lines:1 in
   let own, wb_own =
-    snoop_cluster t ~cluster:my_cluster ~self ~line ~invalidate:true ~sab:false
+    snoop t ~lo:(my_cluster * cp)
+      ~hi:((my_cluster + 1) * cp)
+      ~self ~line ~invalidate:true ~drop:false
   in
   let inter, wb_home =
     if home_cluster = my_cluster then (0, 0)
     else
-      snoop_cluster t ~cluster:home_cluster ~self ~line ~invalidate:true
-        ~sab:(t.sab = Drop_inter_cluster_invalidate)
+      snoop t ~lo:(home_cluster * cp)
+        ~hi:((home_cluster + 1) * cp)
+        ~self ~line ~invalidate:true
+        ~drop:(t.sab = Drop_inter_cluster_invalidate)
   in
   s.Stats.invalidations <- s.Stats.invalidations + own + inter;
   (let st = Cache.line_state c ~line in
@@ -1220,18 +1134,17 @@ let ccdp_route t (r : Reference.t) =
 let route_of t (r : Reference.t) =
   if not (tracked_shared t r.array_name) then RPrivate
   else
-    match t.md with
-    | Incoherent -> RIncoherent
-    | Seq | Invalidate -> RPlain
-    | Hscd -> RHscd
-    | Base -> RUncached
-    | Msi | Mesi | Directory -> (
-        match t.hw with
-        | Hw_snoop m -> RSnoop m
-        | Hw_dir d -> RDir d
-        | Hw_none | Hw_cluster -> assert false)
-    | Ccdp -> ccdp_route t r
-    | Clustered -> RCluster (ccdp_route t r)
+    match t.hw with
+    | Hw_snoop m -> RSnoop m
+    | Hw_dir d -> RDir d
+    | Hw_cluster -> RCluster (ccdp_route t r)
+    | Hw_none -> (
+        match t.md with
+        | Incoherent -> RIncoherent
+        | Hscd -> RHscd
+        | Base -> RUncached
+        | Ccdp -> ccdp_route t r
+        | Seq | Invalidate | Msi | Mesi | Directory | Clustered -> RPlain)
 
 let rec dispatch_read t ctx (r : Reference.t) ~idx ~addr ~tgt ~ver route =
   match route with
@@ -1250,11 +1163,13 @@ let rec dispatch_read t ctx (r : Reference.t) ~idx ~addr ~tgt ~ver route =
         else Hashtbl.replace t.observed_stale r.id ();
       v
   | RHscd -> hscd_read ver t ctx r idx addr tgt
-  | RSnoop mesi -> snoop_read mesi t ctx r idx addr tgt
+  | RSnoop mesi ->
+      snoop_read ~exclusive:mesi ~lo:0 ~hi:(Array.length t.ctxs)
+        ~bus:(Net.machine_bus t.net) t ctx r idx addr tgt
   | RDir d -> dir_read d t ctx r idx addr tgt
-  | RUncached -> uncached_read t ctx addr tgt
+  | RUncached -> uncached_read ~bypass:false t ctx addr tgt
   | RCovered -> cached_read ~fresh_only:true ~track:true t ctx r idx addr tgt
-  | RBypass -> bypass_read t ctx addr tgt
+  | RBypass -> uncached_read ~bypass:true t ctx addr tgt
   | RBack back -> moved_back_read t ctx addr tgt ~back
   | RLeadStaged ->
       (* the prefetch machinery must have staged the line: pending entries
@@ -1266,7 +1181,7 @@ let rec dispatch_read t ctx (r : Reference.t) ~idx ~addr ~tgt ~ver route =
         || Prefetch_queue.find ctx.pe.Pe.queue ~line <> None
         || Hashtbl.mem ctx.fresh line
       then cached_read ~fresh_only:true ~track:true t ctx r idx addr tgt
-      else bypass_read t ctx addr tgt
+      else uncached_read ~bypass:true t ctx addr tgt
   | RCluster inner ->
       (* resolved per access: island-homed data runs the island protocol,
          everything else falls through to the compiled CCDP route *)
@@ -1277,15 +1192,6 @@ let rec dispatch_read t ctx (r : Reference.t) ~idx ~addr ~tgt ~ver route =
         s.Stats.cluster_inter <- s.Stats.cluster_inter + 1;
         dispatch_read t ctx r ~idx ~addr ~tgt ~ver inner
       end
-
-let read t ~pe (r : Reference.t) ~idx =
-  let ctx = t.ctxs.(pe) in
-  ctx.pe.Pe.stats.Stats.reads <- ctx.pe.Pe.stats.Stats.reads + 1;
-  let h = handle_of t r.array_name in
-  let addr = Addr_map.resolve_h h ~pe idx in
-  let tgt = Addr_map.target_of h ~pe ~addr in
-  let ver = if t.md = Hscd then Hashtbl.find_opt t.versions r.array_name else None in
-  dispatch_read t ctx r ~idx ~addr ~tgt ~ver (route_of t r)
 
 (* ------------------------------------------------------------------ *)
 (* Prepared accesses: the compiled-plan interpreter resolves the route,
@@ -1320,21 +1226,20 @@ let read_c t ~pe acc ~idx ~addr =
     ~tgt:(Addr_map.target_of acc.ah ~pe ~addr)
     ~ver:acc.aver acc.aroute
 
-(* The write protocol a tracked store executes, resolved once per static
-   reference like the read route. [Wplain] is the established write-through
-   costing; the hardware rivals additionally run their state machine. *)
-type wproto =
-  | Wplain
-  | Wsnoop of bool
-  | Wdir of Coherence.Dir.t
-  | Wcluster  (** island MESI write + cross-island back-invalidation *)
+let read t ~pe r ~idx =
+  let acc = prepare_read t r in
+  read_c t ~pe acc ~idx ~addr:(access_addr t acc ~pe ~idx)
 
 type waccess = {
   wh : Addr_map.handle;
   wtracked : bool;
   wcaches : bool;
   wver : version option;
-  wproto : wproto;
+  wproto : hw;
+      (** the protocol a tracked store runs, resolved once per static
+          reference like the read route: [Hw_none] is the established
+          write-through costing; the hardware rivals additionally run
+          their state machine *)
 }
 
 let prepare_write t (r : Reference.t) =
@@ -1346,14 +1251,7 @@ let prepare_write t (r : Reference.t) =
     wver =
       (if t.md = Hscd && tracked then Some (version_record t r.array_name)
        else None);
-    wproto =
-      (if not tracked then Wplain
-       else
-         match t.hw with
-         | Hw_none -> Wplain
-         | Hw_snoop m -> Wsnoop m
-         | Hw_dir d -> Wdir d
-         | Hw_cluster -> Wcluster);
+    wproto = (if tracked then t.hw else Hw_none);
   }
 
 let write_addr _t wa ~pe ~idx = Addr_map.resolve_h wa.wh ~pe idx
@@ -1397,14 +1295,14 @@ let write_c t ~pe wa ~addr v =
   | None -> ());
   if wa.wcaches then Cache.update_if_present ctx.pe.Pe.cache ?ver ~addr v;
   match wa.wproto with
-  | Wplain ->
+  | Hw_none ->
       Pe.advance ctx.pe
         (if wa.wtracked then
            store_cost t ~pe (Addr_map.target_of wa.wh ~pe ~addr)
          else t.cfg.Config.store_local)
-  | Wsnoop mesi -> snoop_write mesi t ctx wa.wh ~addr
-  | Wdir d -> dir_write d t ctx wa.wh ~addr
-  | Wcluster -> cluster_write t ctx wa.wh ~addr
+  | Hw_snoop mesi -> snoop_write mesi t ctx wa.wh ~addr
+  | Hw_dir d -> dir_write d t ctx wa.wh ~addr
+  | Hw_cluster -> cluster_write t ctx wa.wh ~addr
 
 let write t ~pe (r : Reference.t) ~idx v =
   let wa = prepare_write t r in
@@ -1556,53 +1454,30 @@ let vget_issue_c ?(skip_cached = false) t ~pe acc idxs =
    shard count. Runs before the tick advances: the settling writes belong
    to the epoch that just ended. *)
 let drain_buffered t =
-  (match t.ora with
-  | Some o ->
-      Array.iter
-        (fun ctx ->
-          let cache = ctx.pe.Pe.cache in
-          for i = 0 to ctx.wn - 1 do
-            let a = ctx.wbuf.(i) in
+  Array.iter
+    (fun ctx ->
+      for i = 0 to ctx.wn - 1 do
+        let a = ctx.wbuf.(i) in
+        (match t.ora with
+        | Some o ->
             o.next_ver <- o.next_ver + 1;
             o.wver.(a) <- o.next_ver;
             o.wepoch.(a) <- t.epoch_tick;
             (* the write-through patched the writer's cached value; the
                version it carries settles here *)
-            Cache.update_if_present cache ~ver:o.next_ver ~addr:a t.mem.(a);
-            t.shadow.(a) <- t.mem.(a)
-          done;
-          ctx.wn <- 0)
-        t.ctxs
-  | None ->
-      Array.iter
-        (fun ctx ->
-          for i = 0 to ctx.wn - 1 do
-            let a = ctx.wbuf.(i) in
-            t.shadow.(a) <- t.mem.(a)
-          done;
-          ctx.wn <- 0)
-        t.ctxs);
-  (match t.ora with
-  | Some o ->
-      let kept = ref (List.length o.violations) in
-      Array.iter
-        (fun ctx ->
-          o.checked <- o.checked + ctx.pchecked;
-          ctx.pchecked <- 0;
-          List.iter
-            (fun v ->
-              if !kept < max_kept_violations then begin
-                o.violations <- v :: o.violations;
-                incr kept
-              end)
-            (List.rev ctx.pviol);
-          o.n_violations <- o.n_violations + ctx.pnviol;
-          ctx.pnviol <- 0;
-          ctx.pviol <- [])
-        t.ctxs
-  | None -> ());
-  Array.iter
-    (fun ctx ->
+            Cache.update_if_present ctx.pe.Pe.cache ~ver:o.next_ver ~addr:a
+              t.mem.(a)
+        | None -> ());
+        t.shadow.(a) <- t.mem.(a)
+      done;
+      ctx.wn <- 0;
+      (match t.ora with
+      | Some o ->
+          merge o.settled ctx.staged;
+          ctx.staged.checked <- 0;
+          ctx.staged.n_stale <- 0;
+          ctx.staged.witnesses <- []
+      | None -> ());
       if Hashtbl.length ctx.pobs > 0 then begin
         Hashtbl.iter (fun id () -> Hashtbl.replace t.observed_stale id ()) ctx.pobs;
         Hashtbl.reset ctx.pobs
@@ -1668,37 +1543,18 @@ let oracle_enabled t = t.ora <> None
 (* The getters fold any not-yet-drained per-PE staging on top of the
    settled oracle state, so mid-epoch introspection (unit tests driving
    read/write without barriers) sees every assertion. *)
-let oracle_checked t =
-  match t.ora with
-  | Some o -> Array.fold_left (fun acc ctx -> acc + ctx.pchecked) o.checked t.ctxs
-  | None -> 0
-
-let oracle_violation_count t =
-  match t.ora with
+let oracle_ledger t =
+  let l = ledger () in
+  (match t.ora with
   | Some o ->
-      Array.fold_left (fun acc ctx -> acc + ctx.pnviol) o.n_violations t.ctxs
-  | None -> 0
+      merge l o.settled;
+      Array.iter (fun ctx -> merge l ctx.staged) t.ctxs
+  | None -> ());
+  l
 
-let oracle_violations t =
-  match t.ora with
-  | Some o ->
-      let base = List.rev o.violations in
-      let kept = ref (List.length base) in
-      let staged =
-        Array.fold_left
-          (fun acc ctx ->
-            List.fold_left
-              (fun acc v ->
-                if !kept < max_kept_violations then begin
-                  incr kept;
-                  v :: acc
-                end
-                else acc)
-              acc (List.rev ctx.pviol))
-          [] t.ctxs
-      in
-      base @ List.rev staged
-  | None -> []
+let oracle_checked t = (oracle_ledger t).checked
+let oracle_violation_count t = (oracle_ledger t).n_stale
+let oracle_violations t = List.rev (oracle_ledger t).witnesses
 
 let pp_violation ppf v =
   Format.fprintf ppf

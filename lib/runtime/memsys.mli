@@ -23,9 +23,11 @@
       whole-cache flushes.
     - [Msi] / [Mesi]: hardware bus snooping — per-line M(E)SI states, every
       coherence transaction (miss fetch, upgrade, write-allocate)
-      serialized through one machine-wide bus whose arbitration is booked
-      like a network port; writes invalidate all remote copies. [Mesi] adds
-      the clean-exclusive state (silent E->M upgrades).
+      serialized through one machine-wide bus, modelled as a throughput
+      backlog since the last barrier rather than a next-free-cycle port
+      ({!Ccdp_machine.Net.acquire_bus}); writes invalidate all remote
+      copies. [Mesi] adds the clean-exclusive state (silent E->M
+      upgrades).
     - [Directory]: full-map directory protocol (Censier-Feautrier) — a
       presence bitset and dirty-owner register per line, homed at the PE
       owning the line in the address map; reads of a dirty line pay 3-hop

@@ -10,9 +10,10 @@
 
    The point of the compiled plans is the hot path allocating no
    per-iteration environments or register-memo hashtables, so the last
-   group is a Gc regression gate: the compiled engine must stay under
-   half the reference engine's minor-heap words on MXM/CCDP (it measures
-   ~1/3; the pre-refactor ratio was 1). *)
+   group is a Gc regression gate on MXM/CCDP: the compiled engine must
+   stay under half the reference engine's minor-heap words (it measures
+   ~1/3; the pre-refactor ratio was 1) and within 26 minor words per
+   simulated access (it measures ~25.3). *)
 
 open Ccdp_test_support.Tutil
 module Memsys = Ccdp_runtime.Memsys
@@ -195,13 +196,14 @@ let minor_words_of f =
   Gc.minor_words () -. m0
 
 let alloc_cases =
+  let mxm_ccdp () =
+    let w = Ccdp_workloads.Mxm.workload ~n:32 in
+    Pipeline.for_mode ~n_pes:8 Memsys.Ccdp w.Workload.program
+  in
   [
     case "compiled engine allocates < 50% of the reference (MXM/ccdp)"
       (fun () ->
-        let w = Ccdp_workloads.Mxm.workload ~n:32 in
-        let { Pipeline.cfg; program = prog; plan; _ } =
-          Pipeline.for_mode ~n_pes:8 Memsys.Ccdp w.Workload.program
-        in
+        let { Pipeline.cfg; program = prog; plan; _ } = mxm_ccdp () in
         let plan_mw =
           minor_words_of (fun () ->
               Interp.run cfg prog ~plan ~mode:Memsys.Ccdp ())
@@ -214,6 +216,20 @@ let alloc_cases =
           (Printf.sprintf "plan %.0f words < 0.5 * ref %.0f words" plan_mw
              ref_mw)
           (plan_mw < 0.5 *. ref_mw));
+    (* an absolute budget: the relative gate above loosens whenever the
+       reference engine allocates more *)
+    case "compiled engine stays within 26 words per access (MXM/ccdp)"
+      (fun () ->
+        let { Pipeline.cfg; program = prog; plan; _ } = mxm_ccdp () in
+        let run () = Interp.run cfg prog ~plan ~mode:Memsys.Ccdp () in
+        let mw = minor_words_of run in
+        let s = (run ()).Interp.stats in
+        let accesses = s.Ccdp_machine.Stats.reads + s.Ccdp_machine.Stats.writes in
+        let per = mw /. float_of_int accesses in
+        check_true
+          (Printf.sprintf "%.0f words / %d accesses = %.2f <= 26" mw accesses
+             per)
+          (per <= 26.0));
   ]
 
 let () =

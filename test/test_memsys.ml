@@ -329,6 +329,74 @@ let clean_leads =
         check_int "issued" 1 (Memsys.total_stats sys).Stats.pf_issued);
   ]
 
+(* The staleness oracle's witness ledger, driven past its 16-witness cap
+   from both PEs: the count stays exact, the list keeps the oldest 16 —
+   PE-major where a buffered mode stages per PE until the barrier,
+   execution order otherwise — and an epoch boundary (which drains the
+   staging) changes neither. *)
+let ledger_tests =
+  (* each PE's two own columns, in the order it reads them *)
+  let words pe =
+    List.concat_map
+      (fun j -> List.init 8 (fun i -> [| i; j |]))
+      (if pe = 0 then [ 0; 1 ] else [ 4; 5 ])
+  in
+  let turns = 10 (* stale hits per PE *) in
+  let run ?sabotage mode =
+    let sys =
+      Memsys.create cfg ~oracle:true ?sabotage (program ())
+        ~plan:(Annot.empty ()) mode
+    in
+    (* each PE caches its columns, then the other PE overwrites them *)
+    List.iter
+      (fun pe ->
+        List.iter (fun idx -> ignore (Memsys.read sys ~pe (rref 0) ~idx)) (words pe))
+      [ 0; 1 ];
+    List.iter
+      (fun pe ->
+        List.iter
+          (fun idx -> Memsys.write sys ~pe:(1 - pe) (rref 1) ~idx 1.0)
+          (words pe))
+      [ 0; 1 ];
+    Memsys.epoch_boundary sys;
+    let checked0 = Memsys.oracle_checked sys in
+    (* the PEs take turns hitting their stale copies, PE 1 first *)
+    for k = 0 to turns - 1 do
+      List.iter
+        (fun pe ->
+          ignore (Memsys.read sys ~pe (rref 2) ~idx:(List.nth (words pe) k)))
+        [ 1; 0 ]
+    done;
+    (sys, checked0)
+  in
+  let witness pe k = (pe, 2, List.nth (words pe) k) in
+  let ledger sys =
+    ( Memsys.oracle_checked sys,
+      Memsys.oracle_violation_count sys,
+      List.map
+        (fun (v : Memsys.violation) -> (v.v_pe, v.v_ref, v.v_index))
+        (Memsys.oracle_violations sys) )
+  in
+  let check name ?sabotage mode expected =
+    case name (fun () ->
+        let sys, checked0 = run ?sabotage mode in
+        let ((checked, count, kept) as before) = ledger sys in
+        check_int "the count is exact" (2 * turns) count;
+        check_int "every hit is checked" (checked0 + (2 * turns)) checked;
+        check_true "the oldest 16 witnesses"
+          (kept = List.filteri (fun i _ -> i < 16) expected);
+        Memsys.epoch_boundary sys;
+        check_true "the boundary changes nothing" (ledger sys = before))
+  in
+  [
+    check "a buffered ledger keeps the first 16 witnesses, PE-major"
+      Memsys.Incoherent
+      (List.init turns (witness 0) @ List.init turns (witness 1));
+    check "an unbuffered ledger keeps the first 16 in execution order"
+      ~sabotage:Memsys.Drop_invalidate Memsys.Msi
+      (List.concat (List.init turns (fun k -> [ witness 1 k; witness 0 k ])));
+  ]
+
 let () =
   Alcotest.run "memsys"
     [
@@ -340,4 +408,5 @@ let () =
       ("hscd", hscd_tests);
       ("staging", staging);
       ("clean-leads", clean_leads);
+      ("ledger", ledger_tests);
     ]

@@ -342,21 +342,39 @@ let clusters =
                Net.create ~cluster_pes:(-2) Net.Crossbar ~n_pes:16)));
     case "island buses book independently and reset together" (fun () ->
         let net = Net.create ~cluster_pes:4 Net.Crossbar ~n_pes:8 in
-        ignore (Net.acquire_cluster_bus net ~cluster:0 ~now:0 ~since:0 ~hold:10);
+        ignore (Net.acquire_bus net ~bus:0 ~now:0 ~since:0 ~hold:10);
         let d0, _ =
-          Net.acquire_cluster_bus net ~cluster:0 ~now:2 ~since:0 ~hold:10
+          Net.acquire_bus net ~bus:0 ~now:2 ~since:0 ~hold:10
         in
         check_true "own island pays backlog" (d0 > 0);
         let d1, q1 =
-          Net.acquire_cluster_bus net ~cluster:1 ~now:2 ~since:0 ~hold:10
+          Net.acquire_bus net ~bus:1 ~now:2 ~since:0 ~hold:10
         in
         check_int "other island idle" 0 d1;
         check_int "other island depth" 1 q1;
         Net.reset_links net;
         let d0', _ =
-          Net.acquire_cluster_bus net ~cluster:0 ~now:0 ~since:0 ~hold:10
+          Net.acquire_bus net ~bus:0 ~now:0 ~since:0 ~hold:10
         in
         check_int "barrier drains the island bus" 0 d0');
+    case "the machine-wide bus books apart from the islands and drains"
+      (fun () ->
+        let net = Net.create ~cluster_pes:4 Net.Crossbar ~n_pes:8 in
+        let bus = Net.machine_bus net in
+        check_true "not an island" (bus >= Net.n_clusters net);
+        ignore (Net.acquire_bus net ~bus ~now:0 ~since:0 ~hold:10);
+        let d, q = Net.acquire_bus net ~bus ~now:2 ~since:0 ~hold:10 in
+        check_int "machine bus pays its backlog" 8 d;
+        check_int "machine bus depth" 1 q;
+        for island = 0 to Net.n_clusters net - 1 do
+          let di, qi = Net.acquire_bus net ~bus:island ~now:2 ~since:0 ~hold:10 in
+          check_int (Printf.sprintf "island %d idle" island) 0 di;
+          check_int (Printf.sprintf "island %d depth" island) 1 qi
+        done;
+        Net.reset_links net;
+        let d', q' = Net.acquire_bus net ~bus ~now:0 ~since:0 ~hold:10 in
+        check_int "barrier drains the machine bus" 0 d';
+        check_int "drained depth" 1 q');
   ]
 
 (* the presets derived from the interconnect kinds stay mutually
