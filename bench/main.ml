@@ -196,11 +196,10 @@ let oracle_overhead sizes =
     "on (s)" "overhead" "checks" "violations";
   List.iter
     (fun (w : Workload.t) ->
-      let cfg = Ccdp_machine.Config.t3d ~n_pes:sizes.abl_pes in
-      let compiled = Pipeline.compile cfg w.Workload.program in
+      let mode = Ccdp_runtime.Memsys.Ccdp in
+      let s = Pipeline.for_mode ~n_pes:sizes.abl_pes mode w.Workload.program in
       let run ~oracle =
-        Ccdp_runtime.Interp.run cfg ~oracle compiled.Pipeline.program
-          ~plan:compiled.Pipeline.plan ~mode:Ccdp_runtime.Memsys.Ccdp ()
+        Ccdp_runtime.Interp.run s.cfg ~oracle s.program ~plan:s.plan ~mode ()
       in
       let time ~oracle =
         let t0 = Sys.time () in
@@ -245,35 +244,40 @@ let perf sizes ~quick jobs =
         tree-walker)"
        n iters n_pes);
   let ws = Suite.spec_four ~n ~iters () in
-  let time_run f =
-    ignore (f ()) (* warm up: first run pays lowering/page-in noise *);
+  (* [warm]: first run pays lowering/page-in noise *)
+  let time_run ?(warm = true) f =
+    if warm then ignore (f ());
     let m0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let r = f () in
     let wall = Unix.gettimeofday () -. t0 in
     (r, wall, Gc.minor_words () -. m0)
   in
-  let emit doc ~workload ~mode ~pes ~engine ~wall ~cycles ~accesses
-      ~minor_words =
+  (* one timed cell as a BENCH_perf.json row *)
+  let perf_row ?(jobs = 1) ~workload ~mode ~pes ~engine ~wall ~cycles
+      ~(stats : Ccdp_machine.Stats.t) minor_words =
     let per t = if wall > 0.0 then float_of_int t /. wall else 0.0 in
-    Bench_json.add_perf doc
-      {
-        Bench_json.p_workload = workload;
-        p_mode = Ccdp_runtime.Memsys.mode_name mode;
-        p_engine = engine;
-        p_pes = pes;
-        p_jobs = 1;
-        p_wall_s = wall;
-        p_cycles = cycles;
-        p_cycles_per_s = per cycles;
-        p_accesses = accesses;
-        p_accesses_per_s = per accesses;
-        p_minor_words = minor_words;
-      };
+    let accesses = stats.reads + stats.writes in
+    {
+      Bench_json.p_workload = workload;
+      p_mode = Ccdp_runtime.Memsys.mode_name mode;
+      p_engine = engine;
+      p_pes = pes;
+      p_jobs = jobs;
+      p_wall_s = wall;
+      p_cycles = cycles;
+      p_cycles_per_s = per cycles;
+      p_accesses = accesses;
+      p_accesses_per_s = per accesses;
+      p_minor_words = minor_words;
+    }
+  in
+  (* records a row in [doc] and prints it as a line of the engine table *)
+  let emit doc (p : Bench_json.perf_row) =
+    Bench_json.add_perf doc p;
     Format.fprintf ppf "%-8s %-10s %-5s %9.3fs %12d %14.0f %14.0f %14.0f@."
-      workload
-      (Ccdp_runtime.Memsys.mode_name mode)
-      engine wall cycles (per cycles) (per accesses) minor_words
+      p.p_workload p.p_mode p.p_engine p.p_wall_s p.p_cycles p.p_cycles_per_s
+      p.p_accesses_per_s p.p_minor_words
   in
   with_bench_json ~bench:"perf" ~jobs (fun doc ->
       Format.fprintf ppf "%-8s %-10s %-5s %10s %12s %14s %14s %14s@."
@@ -292,13 +296,9 @@ let perf sizes ~quick jobs =
                 time_run (fun () ->
                     Ccdp_runtime.Interp.run mcfg prog ~plan ~mode ())
               in
-              let stats = r.Ccdp_runtime.Interp.stats in
-              let accesses =
-                stats.Ccdp_machine.Stats.reads + stats.Ccdp_machine.Stats.writes
-              in
-              emit doc ~workload:w.Workload.name ~mode ~pes ~engine:"plan"
-                ~wall ~cycles:r.Ccdp_runtime.Interp.cycles ~accesses
-                ~minor_words:mw;
+              emit doc
+                (perf_row ~workload:w.Workload.name ~mode ~pes ~engine:"plan"
+                   ~wall ~cycles:r.cycles ~stats:r.stats mw);
               if mode = Ccdp_runtime.Memsys.Ccdp then begin
                 let rr, rwall, rmw =
                   time_run (fun () ->
@@ -311,14 +311,9 @@ let perf sizes ~quick jobs =
                        "perf: engines disagree on %s/ccdp (%d vs %d cycles)"
                        w.Workload.name r.Ccdp_runtime.Interp.cycles
                        rr.Ccdp_runtime.Interp_ref.cycles);
-                let rstats = rr.Ccdp_runtime.Interp_ref.stats in
-                let raccesses =
-                  rstats.Ccdp_machine.Stats.reads
-                  + rstats.Ccdp_machine.Stats.writes
-                in
-                emit doc ~workload:w.Workload.name ~mode ~pes ~engine:"ref"
-                  ~wall:rwall ~cycles:rr.Ccdp_runtime.Interp_ref.cycles
-                  ~accesses:raccesses ~minor_words:rmw;
+                emit doc
+                  (perf_row ~workload:w.Workload.name ~mode ~pes ~engine:"ref"
+                     ~wall:rwall ~cycles:rr.cycles ~stats:rr.stats rmw);
                 if String.lowercase_ascii w.Workload.name = "mxm" && wall > 0.0
                 then
                   mxm_ratio := Some (rwall /. wall)
@@ -348,18 +343,17 @@ let perf sizes ~quick jobs =
         scale_n;
       Format.fprintf ppf "%-8s %6s %5s %10s %12s %9s@." "workload" "pes"
         "jobs" "wall" "cycles" "speedup";
+      let mode = Ccdp_runtime.Memsys.Ccdp in
       List.iter
         (fun pes ->
-          let cfg = Ccdp_machine.Config.t3d ~n_pes:pes in
-          let compiled = Pipeline.compile cfg w.Workload.program in
+          let s = Pipeline.for_mode ~n_pes:pes mode w.Workload.program in
           let baseline = ref None in
           List.iter
             (fun j ->
               let run () =
                 let go ?pool () =
-                  Ccdp_runtime.Interp.run cfg ?pool compiled.Pipeline.program
-                    ~plan:compiled.Pipeline.plan
-                    ~mode:Ccdp_runtime.Memsys.Ccdp ()
+                  Ccdp_runtime.Interp.run s.cfg ?pool s.program ~plan:s.plan
+                    ~mode ()
                 in
                 if j > 1 then
                   Ccdp_exec.Pool.with_pool ~jobs:j (fun pool -> go ~pool ())
@@ -367,16 +361,8 @@ let perf sizes ~quick jobs =
               in
               (* no warm-up: one timed run per (pes, jobs) cell keeps the
                  wide grid affordable; cycle identity does not need it *)
-              let m0 = Gc.minor_words () in
-              let t0 = Unix.gettimeofday () in
-              let r = run () in
-              let wall = Unix.gettimeofday () -. t0 in
-              let mw = Gc.minor_words () -. m0 in
-              let cycles = r.Ccdp_runtime.Interp.cycles in
-              let stats = r.Ccdp_runtime.Interp.stats in
-              let accesses =
-                stats.Ccdp_machine.Stats.reads + stats.Ccdp_machine.Stats.writes
-              in
+              let r, wall, mw = time_run ~warm:false run in
+              let cycles = r.cycles in
               (match !baseline with
               | None -> baseline := Some (cycles, wall)
               | Some (c0, _) ->
@@ -391,22 +377,9 @@ let perf sizes ~quick jobs =
                 | Some (_, w0) when wall > 0.0 -> w0 /. wall
                 | _ -> 1.0
               in
-              let per t = if wall > 0.0 then float_of_int t /. wall else 0.0 in
               Bench_json.add_perf doc
-                {
-                  Bench_json.p_workload = w.Workload.name;
-                  p_mode =
-                    Ccdp_runtime.Memsys.mode_name Ccdp_runtime.Memsys.Ccdp;
-                  p_engine = "plan";
-                  p_pes = pes;
-                  p_jobs = j;
-                  p_wall_s = wall;
-                  p_cycles = cycles;
-                  p_cycles_per_s = per cycles;
-                  p_accesses = accesses;
-                  p_accesses_per_s = per accesses;
-                  p_minor_words = mw;
-                };
+                (perf_row ~jobs:j ~workload:w.Workload.name ~mode ~pes
+                   ~engine:"plan" ~wall ~cycles ~stats:r.stats mw);
               Format.fprintf ppf "%-8s %6d %5d %9.3fs %12d %8.2fx@."
                 w.Workload.name pes j wall cycles speedup)
             scale_jobs)

@@ -204,11 +204,6 @@ let run_cmd =
       const run $ workload_term $ pe_arg $ mode_arg $ machine_arg
       $ verify_arg $ jobs_arg)
 
-let eval_rows n iters pes verify spec_four jobs =
-  let ws = if spec_four then Suite.spec_four ~n ~iters () else workloads_of ~n ~iters in
-  let spec = { Ccdp_core.Experiment.default_spec with pes; verify } in
-  Ccdp_core.Experiment.evaluate ~jobs:(resolve_jobs jobs) ~spec ws
-
 let spec_four_arg =
   Arg.(
     value & flag
@@ -218,30 +213,29 @@ let spec_four_arg =
 let csv_arg =
   Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV instead.")
 
-let table1_cmd =
-  let run n iters pes verify spec4 csv jobs =
-    let rows = eval_rows n iters pes verify spec4 jobs in
+(* Tables 1 and 2 render the same evaluation rows *)
+let table_cmd name ~doc table =
+  let run n iters pes verify spec_four csv jobs =
+    let ws =
+      if spec_four then Suite.spec_four ~n ~iters () else workloads_of ~n ~iters
+    in
+    let spec = { Ccdp_core.Experiment.default_spec with pes; verify } in
+    let rows = Ccdp_core.Experiment.evaluate ~jobs:(resolve_jobs jobs) ~spec ws in
     if csv then Ccdp_core.Experiment.csv_rows Format.std_formatter rows
-    else
-      Ccdp_core.Experiment.(print_tbl Format.std_formatter (table1 rows))
+    else Ccdp_core.Experiment.print_tbl Format.std_formatter (table rows)
   in
-  Cmd.v (Cmd.info "table1" ~doc:"Reproduce paper Table 1 (speedups)")
+  Cmd.v (Cmd.info name ~doc)
     Term.(
       const run $ n_arg $ iters_arg $ pes_arg $ verify_arg $ spec_four_arg
       $ csv_arg $ jobs_arg)
 
+let table1_cmd =
+  table_cmd "table1" ~doc:"Reproduce paper Table 1 (speedups)"
+    Ccdp_core.Experiment.table1
+
 let table2_cmd =
-  let run n iters pes verify spec4 csv jobs =
-    let rows = eval_rows n iters pes verify spec4 jobs in
-    if csv then Ccdp_core.Experiment.csv_rows Format.std_formatter rows
-    else
-      Ccdp_core.Experiment.(print_tbl Format.std_formatter (table2 rows))
-  in
-  Cmd.v
-    (Cmd.info "table2" ~doc:"Reproduce paper Table 2 (CCDP improvement over BASE)")
-    Term.(
-      const run $ n_arg $ iters_arg $ pes_arg $ verify_arg $ spec_four_arg
-      $ csv_arg $ jobs_arg)
+  table_cmd "table2" ~doc:"Reproduce paper Table 2 (CCDP improvement over BASE)"
+    Ccdp_core.Experiment.table2
 
 let ablate_cmd =
   let which_arg =
@@ -313,7 +307,9 @@ let emit_cmd =
   in
   Cmd.v
     (Cmd.info "emit"
-       ~doc:"Print the compiled program as CRAFT-style Fortran with CCDP              prefetch annotations")
+       ~doc:
+         "Print the compiled program as CRAFT-style Fortran with CCDP \
+          prefetch annotations")
     Term.(const run $ workload_term $ pe_arg)
 
 let profile_cmd =

@@ -38,7 +38,7 @@ let json reports =
     (fun i r ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{\"name\":";
-      Diag.buf_string b r.name;
+      Ccdp_core.Bench_json.buf_string b r.name;
       Buffer.add_string b ",\"diagnostics\":[";
       List.iteri
         (fun j d ->

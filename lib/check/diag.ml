@@ -80,23 +80,9 @@ let pp ppf d =
 
 let to_string d = Format.asprintf "%a" pp d
 
-(* JSON emission follows Bench_json's hand-rolled style: flat documents,
-   RFC 8259 string escaping, no external dependency. *)
-let buf_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+(* JSON emission follows Bench_json's hand-rolled style (flat documents,
+   no external dependency) and uses its RFC 8259 string escaper. *)
+let buf_string = Ccdp_core.Bench_json.buf_string
 
 let buf_opt_int b key v =
   match v with

@@ -82,6 +82,3 @@ val to_string : t -> string
 
 (** Append one diagnostic as a JSON object (Bench_json house style). *)
 val buf : Buffer.t -> t -> unit
-
-(** Append an escaped JSON string (shared with the report assembler). *)
-val buf_string : Buffer.t -> string -> unit

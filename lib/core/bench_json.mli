@@ -94,3 +94,7 @@ val to_string : t -> jobs:int -> wall_clock_s:float -> string
 (** Write [BENCH_<bench>.json] under [dir] (default ["."]); returns the
     path written. *)
 val write : ?dir:string -> t -> jobs:int -> wall_clock_s:float -> string
+
+(** Append [s] as a JSON string literal, escaped per RFC 8259 (shared
+    with the certifier's [--json] report). *)
+val buf_string : Buffer.t -> string -> unit

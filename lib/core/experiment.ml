@@ -11,7 +11,6 @@ type row = {
   ccdp_cycles : int;
   base_ok : bool;
   ccdp_ok : bool;
-  ccdp_stats : Stats.t;
 }
 
 let base_speedup r = float_of_int r.seq_cycles /. float_of_int r.base_cycles
@@ -30,69 +29,65 @@ let default_spec =
   }
 
 (* [jobs]: intra-run shard count for the epoch simulation (see
-   Interp.run's [pool]); [None] — the default, and what [evaluate]'s grid
-   cells use from inside their own pool tasks — runs the serial walk
+   Interp.run's [pool]); [None] — the default, and what every table's
+   grid tasks use from inside their own pool — runs the serial walk
    without creating any pool. *)
-let run_program ?tuning ?machine ?jobs ~n_pes mode program =
-  let s = Pipeline.for_mode ?tuning ?machine ~n_pes mode program in
+let run_program ?tuning ?innermost_only ?group_spatial ?prefetch_clean ?machine
+    ?jobs ~n_pes mode program =
+  let s =
+    Pipeline.for_mode ?tuning ?innermost_only ?group_spatial ?prefetch_clean
+      ?machine ~n_pes mode program
+  in
   let go ?pool () = Interp.run s.cfg ?pool s.program ~plan:s.plan ~mode () in
   match jobs with
   | Some j when j > 1 -> Pool.with_pool ~jobs:j (fun pool -> go ~pool ())
   | _ -> go ()
 
-let run_mode ?tuning ?machine ?jobs ~n_pes mode (w : Workload.t) =
-  run_program ?tuning ?machine ?jobs ~n_pes mode w.program
+let run_mode ?tuning ?innermost_only ?group_spatial ?prefetch_clean ?machine
+    ?jobs ~n_pes mode (w : Workload.t) =
+  run_program ?tuning ?innermost_only ?group_spatial ?prefetch_clean ?machine
+    ?jobs ~n_pes mode w.program
 
-(* The grid is embarrassingly parallel: every Interp.run allocates its
-   whole machine state, so (workload, width) cells run on any domain in
-   any order. Results are collected by index (Pool.map_runs), which makes
-   the row list byte-identical to the sequential construction. *)
+(* Every table is a grid of independent tasks, one per key (a workload, a
+   (workload, width or machine) cell, a sweep point). Every Interp.run
+   allocates its whole machine state, so the tasks run on any domain in
+   any order; Pool.run collects their results in key order, which makes
+   every table byte-identical to the sequential construction. [label]
+   names a key's task in Pool.Run_failed. *)
+let grid ?jobs label f keys =
+  Pool.run ?jobs ~label:(fun i -> label (List.nth keys i)) (fun _ k -> f k) keys
+
+let name (w : Workload.t) = w.name
+let pairs xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
+
+(* Relative gain of [b] over [a], percent of [a]. *)
+let gain a b = Report.fpct (100. *. float_of_int (a - b) /. float_of_int a)
+
 let evaluate ?jobs ?(spec = default_spec) workloads =
-  Pool.with_pool ?jobs (fun pool ->
-      let seqs =
-        Pool.map_runs pool
-          ~label:(fun i -> "seq:" ^ (List.nth workloads i).Workload.name)
-          (fun _ (w : Workload.t) -> run_mode ~n_pes:1 Memsys.Seq w)
-          workloads
+  let seqs =
+    grid ?jobs (fun w -> "seq:" ^ name w) (run_mode ~n_pes:1 Memsys.Seq) workloads
+  in
+  grid ?jobs
+    (fun ((w, _), n_pes) -> Printf.sprintf "%s@%dpe" (name w) n_pes)
+    (fun (((w : Workload.t), (seq : Interp.result)), n_pes) ->
+      let check (r : Interp.result) =
+        (not spec.verify)
+        || (Verify.compare_states ~expected:seq.sys ~got:r.sys
+              (Ccdp_ir.Program.inline w.program))
+             .ok
       in
-      let units =
-        List.concat_map
-          (fun (w, seq) -> List.map (fun n_pes -> (w, seq, n_pes)) spec.pes)
-          (List.combine workloads seqs)
-      in
-      Pool.map_runs pool
-        ~label:(fun i ->
-          let (w : Workload.t), _, n_pes = List.nth units i in
-          Printf.sprintf "%s@%dpe" w.Workload.name n_pes)
-        (fun _ ((w : Workload.t), (seq : Interp.result), n_pes) ->
-          let check (r : Interp.result) =
-            if not spec.verify then true
-            else
-              (Verify.compare_states ~expected:seq.Interp.sys ~got:r.Interp.sys
-                 (Ccdp_ir.Program.inline w.program))
-                .Verify.ok
-          in
-          let base = run_mode ~n_pes Memsys.Base w in
-          let ccdp = run_mode ~tuning:spec.tuning ~n_pes Memsys.Ccdp w in
-          {
-            workload = w.name;
-            pes = n_pes;
-            seq_cycles = seq.Interp.cycles;
-            base_cycles = base.Interp.cycles;
-            ccdp_cycles = ccdp.Interp.cycles;
-            base_ok = check base;
-            ccdp_ok = check ccdp;
-            ccdp_stats = ccdp.Interp.stats;
-          })
-        units)
-
-let workload_names rows =
-  List.fold_left
-    (fun acc r -> if List.mem r.workload acc then acc else acc @ [ r.workload ])
-    [] rows
-
-let pe_counts rows =
-  List.sort_uniq compare (List.map (fun (r : row) -> r.pes) rows)
+      let base = run_mode ~n_pes Memsys.Base w in
+      let ccdp = run_mode ~tuning:spec.tuning ~n_pes Memsys.Ccdp w in
+      {
+        workload = w.name;
+        pes = n_pes;
+        seq_cycles = seq.cycles;
+        base_cycles = base.cycles;
+        ccdp_cycles = ccdp.cycles;
+        base_ok = check base;
+        ccdp_ok = check ccdp;
+      })
+    (pairs (List.combine workloads seqs) spec.pes)
 
 (* ------------------------------------------------------------------ *)
 (* Tables as values                                                    *)
@@ -102,65 +97,52 @@ type table = { title : string; headers : string list; trows : string list list }
 
 let print_tbl ppf t = Report.table ppf ~title:t.title ~headers:t.headers t.trows
 
-let table1 rows =
-  let names = workload_names rows in
-  let headers =
-    "#PEs"
-    :: List.concat_map (fun n -> [ n ^ " BASE"; n ^ " CCDP" ]) names
-  in
-  let body =
-    List.map
-      (fun p ->
-        string_of_int p
-        :: List.concat_map
-             (fun name ->
-               match
-                 List.find_opt
-                   (fun (r : row) -> r.workload = name && r.pes = p)
-                   rows
-               with
-               | Some r ->
-                   let tag b = if b then "" else "!" in
-                   [
-                     Report.fx (base_speedup r) ^ tag r.base_ok;
-                     Report.fx (ccdp_speedup r) ^ tag r.ccdp_ok;
-                   ]
-               | None -> [ "-"; "-" ])
-             names)
-      (pe_counts rows)
+(* Tables 1 and 2: one row per machine width, with the [columns] headers
+   and the [cells] of the width's row (if any) for each workload, in
+   first-appearance order. *)
+let by_width ~title ~columns cells rows =
+  let names =
+    List.fold_left
+      (fun acc r -> if List.mem r.workload acc then acc else acc @ [ r.workload ])
+      [] rows
   in
   {
-    title =
-      "Table 1. Speedups over sequential execution time ('!' marks a failed \
-       numeric verification)";
-    headers;
-    trows = body;
+    title;
+    headers = "#PEs" :: List.concat_map columns names;
+    trows =
+      List.map
+        (fun p ->
+          string_of_int p
+          :: List.concat_map
+               (fun name ->
+                 cells
+                   (List.find_opt
+                      (fun (r : row) -> r.workload = name && r.pes = p)
+                      rows))
+               names)
+        (List.sort_uniq compare (List.map (fun (r : row) -> r.pes) rows));
   }
 
-let table2 rows =
-  let names = workload_names rows in
-  let headers = "#PEs" :: names in
-  let body =
-    List.map
-      (fun p ->
-        string_of_int p
-        :: List.map
-             (fun name ->
-               match
-                 List.find_opt
-                   (fun (r : row) -> r.workload = name && r.pes = p)
-                   rows
-               with
-               | Some r -> Report.fpct (improvement r)
-               | None -> "-")
-             names)
-      (pe_counts rows)
-  in
-  {
-    title = "Table 2. Improvement in execution time of CCDP codes over BASE codes";
-    headers;
-    trows = body;
-  }
+let table1 =
+  let tag b = if b then "" else "!" in
+  by_width
+    ~title:
+      "Table 1. Speedups over sequential execution time ('!' marks a failed \
+       numeric verification)"
+    ~columns:(fun n -> [ n ^ " BASE"; n ^ " CCDP" ])
+    (function
+      | Some r ->
+          [
+            Report.fx (base_speedup r) ^ tag r.base_ok;
+            Report.fx (ccdp_speedup r) ^ tag r.ccdp_ok;
+          ]
+      | None -> [ "-"; "-" ])
+
+let table2 =
+  by_width
+    ~title:"Table 2. Improvement in execution time of CCDP codes over BASE codes"
+    ~columns:(fun n -> [ n ])
+    (function Some r -> [ Report.fpct (improvement r) ] | None -> [ "-" ])
 
 let csv_rows ppf rows =
   Report.csv ppf
@@ -187,45 +169,21 @@ let csv_rows ppf rows =
        rows)
 
 (* ------------------------------------------------------------------ *)
-(* Ablations                                                           *)
+(* Ablations: one row per workload                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Each ablation's rows are independent (one per workload, or one per
-   sweep point), so the row list is a Pool.run over them; per-row run
-   order is preserved inside the closure. *)
-
-let map_workload_rows ?jobs (workloads : Workload.t list) f =
-  Pool.run ?jobs
-    ~label:(fun i -> (List.nth workloads i).Workload.name)
-    (fun _ w -> f w)
-    workloads
-
-let ccdp_cycles_with ~n_pes ?tuning ?innermost_only ?group_spatial
-    (w : Workload.t) =
-  let cfg = Config.t3d ~n_pes in
-  let compiled =
-    Pipeline.compile cfg ?tuning ?innermost_only ?group_spatial w.program
-  in
-  (Interp.run cfg compiled.Pipeline.program ~plan:compiled.Pipeline.plan
-     ~mode:Memsys.Ccdp ())
-    .Interp.cycles
-
 let ablation_target_table ?(n_pes = 16) ?jobs workloads =
-  let rows =
-    map_workload_rows ?jobs workloads (fun (w : Workload.t) ->
-        let full = ccdp_cycles_with ~n_pes w in
-        let no_group = ccdp_cycles_with ~n_pes ~group_spatial:false w in
-        let all_stale =
-          ccdp_cycles_with ~n_pes ~group_spatial:false ~innermost_only:false w
-        in
-        [
-          w.name;
-          string_of_int full;
-          string_of_int no_group;
-          string_of_int all_stale;
-          Report.fpct (100. *. float_of_int (no_group - full) /. float_of_int full);
-          Report.fpct (100. *. float_of_int (all_stale - full) /. float_of_int full);
-        ])
+  let row w =
+    let ccdp ?innermost_only ?group_spatial () =
+      (run_mode ?innermost_only ?group_spatial ~n_pes Memsys.Ccdp w).cycles
+    in
+    let full = ccdp () in
+    let no_group = ccdp ~group_spatial:false () in
+    let all_stale = ccdp ~group_spatial:false ~innermost_only:false () in
+    (* what each analysis saves, percent of the full scheme's cycles *)
+    let save x = Report.fpct (100. *. float_of_int (x - full) /. float_of_int full) in
+    name w :: List.map string_of_int [ full; no_group; all_stale ]
+    @ [ save no_group; save all_stale ]
   in
   {
     title =
@@ -237,7 +195,7 @@ let ablation_target_table ?(n_pes = 16) ?jobs workloads =
         "workload"; "full"; "no group-spatial"; "no target analysis";
         "groups save"; "target saves";
       ];
-    trows = rows;
+    trows = grid ?jobs name row workloads;
   }
 
 let ablation_technique_table ?(n_pes = 16) ?jobs workloads =
@@ -251,39 +209,28 @@ let ablation_technique_table ?(n_pes = 16) ?jobs workloads =
       ("MBP only", { t0 with allow_vpg = false; allow_sp = false });
     ]
   in
-  let rows =
-    map_workload_rows ?jobs workloads (fun (w : Workload.t) ->
-        w.name
-        :: List.map
-             (fun (_, tuning) ->
-               string_of_int (ccdp_cycles_with ~n_pes ~tuning w))
-             variants)
+  let row w =
+    name w
+    :: List.map
+         (fun (_, tuning) ->
+           string_of_int (run_mode ~tuning ~n_pes Memsys.Ccdp w).cycles)
+         variants
   in
   {
     title =
       Printf.sprintf "Ablation B (%d PEs): single scheduling technique (cycles)"
         n_pes;
     headers = "workload" :: List.map fst variants;
-    trows = rows;
+    trows = grid ?jobs name row workloads;
   }
 
 let ablation_coherence_table ?(n_pes = 16) ?jobs workloads =
-  let rows =
-    map_workload_rows ?jobs workloads (fun (w : Workload.t) ->
-        let base = (run_mode ~n_pes Memsys.Base w).Interp.cycles in
-        let inv = (run_mode ~n_pes Memsys.Invalidate w).Interp.cycles in
-        let hscd = (run_mode ~n_pes Memsys.Hscd w).Interp.cycles in
-        let ccdp = (run_mode ~n_pes Memsys.Ccdp w).Interp.cycles in
-        [
-          w.name;
-          string_of_int base;
-          string_of_int inv;
-          string_of_int hscd;
-          string_of_int ccdp;
-          Report.fpct (100. *. float_of_int (base - ccdp) /. float_of_int base);
-          Report.fpct (100. *. float_of_int (inv - ccdp) /. float_of_int inv);
-          Report.fpct (100. *. float_of_int (hscd - ccdp) /. float_of_int hscd);
-        ])
+  let row w =
+    let run mode = (run_mode ~n_pes mode w).cycles in
+    let base = run Memsys.Base and inv = run Memsys.Invalidate in
+    let hscd = run Memsys.Hscd and ccdp = run Memsys.Ccdp in
+    name w :: List.map string_of_int [ base; inv; hscd; ccdp ]
+    @ [ gain base ccdp; gain inv ccdp; gain hscd ccdp ]
   in
   {
     title =
@@ -293,93 +240,70 @@ let ablation_coherence_table ?(n_pes = 16) ?jobs workloads =
     headers =
       [ "workload"; "BASE"; "INV"; "HSCD"; "CCDP"; "vs BASE"; "vs INV";
         "vs HSCD" ];
-    trows = rows;
+    trows = grid ?jobs name row workloads;
   }
 
 let ablation_prefetch_clean_table ?(n_pes = 16) ?jobs workloads =
-  let rows =
-    map_workload_rows ?jobs workloads (fun (w : Workload.t) ->
-        let cfg = Config.t3d ~n_pes in
-        let run ?prefetch_clean () =
-          let c = Pipeline.compile cfg ?prefetch_clean w.program in
-          Interp.run cfg c.Pipeline.program ~plan:c.Pipeline.plan
-            ~mode:Memsys.Ccdp ()
-        in
-        let ccdp = run () in
-        let plus = run ~prefetch_clean:true () in
-        [
-          w.name;
-          string_of_int ccdp.Interp.cycles;
-          string_of_int plus.Interp.cycles;
-          Report.fpct
-            (100.
-            *. float_of_int (ccdp.Interp.cycles - plus.Interp.cycles)
-            /. float_of_int ccdp.Interp.cycles);
-          string_of_int (Stats.total_prefetches plus.Interp.stats);
-        ])
+  let row w =
+    let ccdp = run_mode ~n_pes Memsys.Ccdp w in
+    let plus = run_mode ~prefetch_clean:true ~n_pes Memsys.Ccdp w in
+    [
+      name w;
+      string_of_int ccdp.cycles;
+      string_of_int plus.cycles;
+      gain ccdp.cycles plus.cycles;
+      string_of_int (Stats.total_prefetches plus.stats);
+    ]
   in
   {
     title =
       Printf.sprintf
-        "Experiment E (%d PEs): CCDP + prefetching of non-stale references           (the paper's future work)" n_pes;
+        "Experiment E (%d PEs): CCDP + prefetching of non-stale references \
+         (the paper's future work)" n_pes;
     headers = [ "workload"; "CCDP"; "CCDP+clean"; "extra gain"; "prefetches" ];
-    trows = rows;
+    trows = grid ?jobs name row workloads;
   }
 
 let ablation_vpg_levels_table ?(n_pes = 16) ?jobs workloads =
   let open Ccdp_analysis.Schedule in
-  let run tuning (w : Workload.t) =
-    let cfg = Config.t3d ~n_pes in
-    let c = Pipeline.compile cfg ~tuning w.program in
-    Interp.run cfg c.Pipeline.program ~plan:c.Pipeline.plan ~mode:Memsys.Ccdp ()
-  in
-  let rows =
-    map_workload_rows ?jobs workloads (fun (w : Workload.t) ->
-        let one = run default_tuning w in
-        let two = run { default_tuning with vpg_levels = 2 } w in
-        [
-          w.name;
-          string_of_int one.Interp.cycles;
-          string_of_int two.Interp.cycles;
-          Report.fpct
-            (100.
-            *. float_of_int (one.Interp.cycles - two.Interp.cycles)
-            /. float_of_int one.Interp.cycles);
-          string_of_int two.Interp.stats.Stats.pf_evicted;
-        ])
+  let row w =
+    let one = run_mode ~n_pes Memsys.Ccdp w in
+    let tuning = { default_tuning with vpg_levels = 2 } in
+    let two = run_mode ~tuning ~n_pes Memsys.Ccdp w in
+    [
+      name w;
+      string_of_int one.cycles;
+      string_of_int two.cycles;
+      gain one.cycles two.cycles;
+      string_of_int two.stats.pf_evicted;
+    ]
   in
   {
     title =
       Printf.sprintf
-        "Experiment G (%d PEs): one-level vs multi-level vector-prefetch           pulling (the paper's Gornish modification)" n_pes;
+        "Experiment G (%d PEs): one-level vs multi-level vector-prefetch \
+         pulling (the paper's Gornish modification)" n_pes;
     headers = [ "workload"; "1-level"; "2-level"; "2-level gain"; "evicted" ];
-    trows = rows;
+    trows = grid ?jobs name row workloads;
   }
 
 let ablation_topology_table ?(n_pes = 64) ?jobs workloads =
-  let run machine mode w = (run_mode ~machine ~n_pes mode w).Interp.cycles in
-  let rows =
-    map_workload_rows ?jobs workloads (fun (w : Workload.t) ->
-        let flat = Config.t3d and torus = Config.t3d_torus in
-        let bf = run flat Memsys.Base w and bt = run torus Memsys.Base w in
-        let cf = run flat Memsys.Ccdp w and ct = run torus Memsys.Ccdp w in
-        [
-          w.name;
-          string_of_int bf;
-          string_of_int bt;
-          string_of_int cf;
-          string_of_int ct;
-          Report.fpct (100. *. float_of_int (bt - ct) /. float_of_int bt);
-        ])
+  let row w =
+    let run machine mode = (run_mode ~machine ~n_pes mode w).cycles in
+    let flat = Config.t3d and torus = Config.t3d_torus in
+    let bf = run flat Memsys.Base and bt = run torus Memsys.Base in
+    let cf = run flat Memsys.Ccdp and ct = run torus Memsys.Ccdp in
+    name w :: List.map string_of_int [ bf; bt; cf; ct ] @ [ gain bt ct ]
   in
   {
     title =
       Printf.sprintf
-        "Experiment F (%d PEs): uniform remote latency vs 3-D torus distance           model (cycles)" n_pes;
+        "Experiment F (%d PEs): uniform remote latency vs 3-D torus distance \
+         model (cycles)" n_pes;
     headers =
       [ "workload"; "BASE flat"; "BASE torus"; "CCDP flat"; "CCDP torus";
         "torus improvement" ];
-    trows = rows;
+    trows = grid ?jobs name row workloads;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -402,36 +326,23 @@ let machines_table ?(n_pes = 16) ?only ?jobs workloads =
   let machines =
     match only with
     | None -> machine_presets
-    | Some name -> (
-        match Config.preset_of_string name with
-        | Some p -> [ (String.lowercase_ascii name, p) ]
-        | None -> invalid_arg ("unknown machine preset: " ^ name))
+    | Some only -> (
+        match Config.preset_of_string only with
+        | Some p -> [ (String.lowercase_ascii only, p) ]
+        | None -> invalid_arg ("unknown machine preset: " ^ only))
   in
-  let units =
-    List.concat_map (fun w -> List.map (fun m -> (w, m)) machines) workloads
-  in
-  let rows =
-    Pool.run ?jobs
-      ~label:(fun i ->
-        let (w : Workload.t), (mname, _) = List.nth units i in
-        w.Workload.name ^ "@" ^ mname)
-      (fun _ ((w : Workload.t), (mname, preset)) ->
-        let base = run_mode ~machine:preset ~n_pes Memsys.Base w in
-        let ccdp = run_mode ~machine:preset ~n_pes Memsys.Ccdp w in
-        let s = ccdp.Interp.stats in
-        [
-          w.Workload.name;
-          mname;
-          string_of_int base.Interp.cycles;
-          string_of_int ccdp.Interp.cycles;
-          Report.fpct
-            (100.
-            *. float_of_int (base.Interp.cycles - ccdp.Interp.cycles)
-            /. float_of_int base.Interp.cycles);
-          string_of_int s.Stats.link_conflicts;
-          string_of_int s.Stats.link_occ_max;
-        ])
-      units
+  let row (w, (mname, machine)) =
+    let base = run_mode ~machine ~n_pes Memsys.Base w in
+    let ccdp = run_mode ~machine ~n_pes Memsys.Ccdp w in
+    [
+      name w;
+      mname;
+      string_of_int base.cycles;
+      string_of_int ccdp.cycles;
+      gain base.cycles ccdp.cycles;
+      string_of_int ccdp.stats.link_conflicts;
+      string_of_int ccdp.stats.link_occ_max;
+    ]
   in
   {
     title =
@@ -443,7 +354,10 @@ let machines_table ?(n_pes = 16) ?only ?jobs workloads =
         "workload"; "machine"; "BASE"; "CCDP"; "improvement"; "link conflicts";
         "max link occ";
       ];
-    trows = rows;
+    trows =
+      grid ?jobs
+        (fun (w, (mname, _)) -> name w ^ "@" ^ mname)
+        row (pairs workloads machines);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -465,44 +379,27 @@ let clusters_table ?(n_pes = 16) ?only ?jobs workloads =
   let presets =
     match only with
     | None -> cluster_presets
-    | Some name ->
-        let name = String.lowercase_ascii name in
-        List.filter (fun (mname, _) -> mname = name) cluster_presets
+    | Some only ->
+        let only = String.lowercase_ascii only in
+        List.filter (fun (mname, _) -> mname = only) cluster_presets
   in
-  let groups =
-    if presets = [] then []
-    else
-      Pool.run ?jobs
-        ~label:(fun i -> (List.nth workloads i).Workload.name ^ "@clusters")
-        (fun _ (w : Workload.t) ->
-          let ccdp = run_mode ~machine:Config.t3d_xbar ~n_pes Memsys.Ccdp w in
-          let dir =
-            run_mode ~machine:Config.t3d_xbar ~n_pes Memsys.Directory w
-          in
-          List.map
-            (fun (mname, preset) ->
-              let clu = run_mode ~machine:preset ~n_pes Memsys.Clustered w in
-              let s = clu.Interp.stats in
-              let pct (anchor : Interp.result) =
-                Report.fpct
-                  (100.
-                  *. float_of_int (anchor.Interp.cycles - clu.Interp.cycles)
-                  /. float_of_int anchor.Interp.cycles)
-              in
-              [
-                w.Workload.name;
-                mname;
-                string_of_int clu.Interp.cycles;
-                string_of_int ccdp.Interp.cycles;
-                string_of_int dir.Interp.cycles;
-                pct ccdp;
-                pct dir;
-                string_of_int s.Stats.cluster_hits;
-                string_of_int s.Stats.cluster_inter;
-                string_of_int s.Stats.bus_conflicts;
-              ])
-            presets)
-        workloads
+  (* one task per workload, so the two flat anchors run once each *)
+  let rows w =
+    let run machine mode = run_mode ~machine ~n_pes mode w in
+    let ccdp = (run Config.t3d_xbar Memsys.Ccdp).cycles in
+    let dir = (run Config.t3d_xbar Memsys.Directory).cycles in
+    List.map
+      (fun (mname, machine) ->
+        let clu = run machine Memsys.Clustered in
+        name w :: mname :: List.map string_of_int [ clu.cycles; ccdp; dir ]
+        @ [ gain ccdp clu.cycles; gain dir clu.cycles ]
+        @ List.map string_of_int
+            [
+              clu.stats.cluster_hits;
+              clu.stats.cluster_inter;
+              clu.stats.bus_conflicts;
+            ])
+      presets
   in
   {
     title =
@@ -517,7 +414,10 @@ let clusters_table ?(n_pes = 16) ?only ?jobs workloads =
         "vs flat CCDP"; "vs flat DIR"; "cluster hits"; "cluster inter";
         "bus conflicts";
       ];
-    trows = List.concat groups;
+    trows =
+      (if presets = [] then []
+       else
+         List.concat (grid ?jobs (fun w -> name w ^ "@clusters") rows workloads));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -548,55 +448,38 @@ let rival_machines =
   [ ("t3d-torus", Config.t3d_torus); ("t3d-xbar", Config.t3d_xbar) ]
 
 let rivals_rows ?(n_pes = 64) ?jobs workloads =
-  Pool.with_pool ?jobs (fun pool ->
-      let seqs =
-        Pool.map_runs pool
-          ~label:(fun i -> "seq:" ^ (List.nth workloads i).Workload.name)
-          (fun _ (w : Workload.t) ->
-            Seq_oracle.run (Config.t3d ~n_pes:1)
-              (Ccdp_ir.Program.inline w.program) ())
-          workloads
-      in
-      let units =
-        List.concat_map
-          (fun (w, seq) -> List.map (fun m -> (w, seq, m)) rival_machines)
-          (List.combine workloads seqs)
-      in
-      let groups =
-        Pool.map_runs pool
-          ~label:(fun i ->
-            let (w : Workload.t), _, (mname, _) = List.nth units i in
-            w.Workload.name ^ "@" ^ mname)
-          (fun _ ((w : Workload.t), seq, (mname, preset)) ->
-            let inlined = Ccdp_ir.Program.inline w.program in
-            let base = run_mode ~machine:preset ~n_pes Memsys.Base w in
-            List.map
-              (fun mode ->
-                let r =
-                  if mode = Memsys.Base then base
-                  else run_mode ~machine:preset ~n_pes mode w
-                in
-                let ok =
-                  (Verify.compare_states ~expected:seq ~got:r.Interp.sys
-                     inlined)
-                    .Verify.ok
-                in
-                {
-                  rv_workload = w.name;
-                  rv_machine = mname;
-                  rv_mode = Memsys.mode_name mode;
-                  rv_pes = n_pes;
-                  rv_cycles = r.Interp.cycles;
-                  rv_norm =
-                    float_of_int r.Interp.cycles
-                    /. float_of_int base.Interp.cycles;
-                  rv_ok = ok;
-                  rv_stats = r.Interp.stats;
-                })
-              rival_modes)
-          units
-      in
-      List.concat groups)
+  let seqs =
+    grid ?jobs
+      (fun w -> "seq:" ^ name w)
+      (fun (w : Workload.t) ->
+        Seq_oracle.run (Config.t3d ~n_pes:1) (Ccdp_ir.Program.inline w.program) ())
+      workloads
+  in
+  let rows (((w : Workload.t), seq), (mname, machine)) =
+    let inlined = Ccdp_ir.Program.inline w.program in
+    let base = run_mode ~machine ~n_pes Memsys.Base w in
+    List.map
+      (fun mode ->
+        let r =
+          if mode = Memsys.Base then base else run_mode ~machine ~n_pes mode w
+        in
+        {
+          rv_workload = w.name;
+          rv_machine = mname;
+          rv_mode = Memsys.mode_name mode;
+          rv_pes = n_pes;
+          rv_cycles = r.cycles;
+          rv_norm = float_of_int r.cycles /. float_of_int base.cycles;
+          rv_ok = (Verify.compare_states ~expected:seq ~got:r.sys inlined).ok;
+          rv_stats = r.stats;
+        })
+      rival_modes
+  in
+  List.concat
+    (grid ?jobs
+       (fun ((w, _), (mname, _)) -> name w ^ "@" ^ mname)
+       rows
+       (pairs (List.combine workloads seqs) rival_machines))
 
 let rivals_table rows =
   let n_pes = match rows with r :: _ -> r.rv_pes | [] -> 0 in
@@ -633,85 +516,47 @@ let rivals_table rows =
 (* Sweeps                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let map_point_rows ?jobs points f =
-  Pool.run ?jobs
-    ~label:(fun i -> string_of_int (List.nth points i))
-    (fun _ p -> f p)
-    points
-
-(* cycles of [w] under [mode] on the t3d machine with [edit] applied *)
-let sweep_cycles ~n_pes edit mode w =
-  (run_mode ~machine:(fun ~n_pes -> edit (Config.t3d ~n_pes)) ~n_pes mode w)
-    .Interp.cycles
+(* One row per point [p], each run of [w] on the t3d machine with [edit p]
+   applied: [cells run] gives the row after its point, [run mode] running
+   [w] under [mode] at that point. *)
+let sweep ?jobs ~n_pes ~points ~title ~headers edit cells (w : Workload.t) =
+  let row p =
+    let machine ~n_pes = edit p (Config.t3d ~n_pes) in
+    string_of_int p :: cells (fun mode -> run_mode ~machine ~n_pes mode w)
+  in
+  {
+    title = Printf.sprintf title w.name n_pes;
+    headers;
+    trows = grid ?jobs string_of_int row points;
+  }
 
 let sweep_cache_table ?(n_pes = 16) ?(points = [ 512; 1024; 2048; 4096; 8192 ])
-    ?jobs (w : Workload.t) =
-  let rows =
-    map_point_rows ?jobs points (fun cache_words ->
-        let run mode =
-          sweep_cycles ~n_pes (fun c -> { c with Config.cache_words }) mode w
-        in
-        [
-          string_of_int cache_words;
-          string_of_int (run Memsys.Invalidate);
-          string_of_int (run Memsys.Hscd);
-          string_of_int (run Memsys.Ccdp);
-        ])
-  in
-  {
-    title =
-      Printf.sprintf "Sweep: cache capacity, %s at %d PEs (cycles)"
-        w.Workload.name n_pes;
-    headers = [ "cache (words)"; "INV"; "HSCD"; "CCDP" ];
-    trows = rows;
-  }
+    ?jobs =
+  sweep ?jobs ~n_pes ~points
+    ~title:"Sweep: cache capacity, %s at %d PEs (cycles)"
+    ~headers:[ "cache (words)"; "INV"; "HSCD"; "CCDP" ]
+    (fun cache_words c -> { c with Config.cache_words })
+    (fun run ->
+      List.map
+        (fun mode -> string_of_int (run mode).Interp.cycles)
+        [ Memsys.Invalidate; Memsys.Hscd; Memsys.Ccdp ])
 
 let sweep_remote_table ?(n_pes = 16) ?(points = [ 30; 60; 90; 150; 300; 600 ])
-    ?jobs (w : Workload.t) =
-  let rows =
-    map_point_rows ?jobs points (fun remote ->
-        let run mode =
-          sweep_cycles ~n_pes (fun c -> { c with Config.remote }) mode w
-        in
-        let base = run Memsys.Base and ccdp = run Memsys.Ccdp in
-        [
-          string_of_int remote;
-          string_of_int base;
-          string_of_int ccdp;
-          Report.fpct (100. *. float_of_int (base - ccdp) /. float_of_int base);
-        ])
-  in
-  {
-    title =
-      Printf.sprintf "Sweep: remote latency, %s at %d PEs" w.Workload.name
-        n_pes;
-    headers = [ "remote (cyc)"; "BASE"; "CCDP"; "improvement" ];
-    trows = rows;
-  }
+    ?jobs =
+  sweep ?jobs ~n_pes ~points ~title:"Sweep: remote latency, %s at %d PEs"
+    ~headers:[ "remote (cyc)"; "BASE"; "CCDP"; "improvement" ]
+    (fun remote c -> { c with Config.remote })
+    (fun run ->
+      let base = (run Memsys.Base).Interp.cycles in
+      let ccdp = (run Memsys.Ccdp).Interp.cycles in
+      [ string_of_int base; string_of_int ccdp; gain base ccdp ])
 
-let sweep_queue_table ?(n_pes = 16) ?(points = [ 4; 8; 16; 32; 64 ]) ?jobs
-    (w : Workload.t) =
-  let rows =
-    map_point_rows ?jobs points (fun q ->
-        let cfg =
-          { (Config.t3d ~n_pes) with Config.prefetch_queue_words = q }
-        in
-        let compiled = Pipeline.compile cfg w.Workload.program in
-        let r =
-          Interp.run cfg compiled.Pipeline.program ~plan:compiled.Pipeline.plan
-            ~mode:Memsys.Ccdp ()
-        in
-        [
-          string_of_int q;
-          string_of_int r.Interp.cycles;
-          string_of_int r.Interp.stats.Stats.pf_dropped;
-          string_of_int r.Interp.stats.Stats.pf_late;
-        ])
-  in
-  {
-    title =
-      Printf.sprintf "Sweep: prefetch queue capacity, %s at %d PEs"
-        w.Workload.name n_pes;
-    headers = [ "queue (words)"; "CCDP cycles"; "dropped"; "late" ];
-    trows = rows;
-  }
+let sweep_queue_table ?(n_pes = 16) ?(points = [ 4; 8; 16; 32; 64 ]) ?jobs =
+  sweep ?jobs ~n_pes ~points
+    ~title:"Sweep: prefetch queue capacity, %s at %d PEs"
+    ~headers:[ "queue (words)"; "CCDP cycles"; "dropped"; "late" ]
+    (fun q c -> { c with Config.prefetch_queue_words = q })
+    (fun run ->
+      let r = run Memsys.Ccdp in
+      List.map string_of_int
+        [ r.Interp.cycles; r.stats.pf_dropped; r.stats.pf_late ])

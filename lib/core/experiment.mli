@@ -5,11 +5,12 @@
     answer under any coherence scheme is an experiment failure, not a data
     point). Speedups are ratios of simulated machine cycles.
 
-    The grid of simulator runs is embarrassingly parallel; every entry
-    point that executes more than one run takes an optional [?jobs]
-    argument and shards the runs over a {!Ccdp_exec.Pool}. Results are
-    deterministic: the same rows, in the same order, for any job count
-    (see DESIGN.md section 8). *)
+    Every run is a {!run_mode} call, set up by {!Pipeline.for_mode}. The
+    runs are embarrassingly parallel; every entry point that executes
+    more than one run takes an optional [?jobs] argument and shards its
+    rows over a {!Ccdp_exec.Pool}. Results are deterministic: the same
+    rows, in the same order, for any job count (see DESIGN.md section
+    8). *)
 
 type row = {
   workload : string;
@@ -19,7 +20,6 @@ type row = {
   ccdp_cycles : int;
   base_ok : bool;
   ccdp_ok : bool;
-  ccdp_stats : Ccdp_machine.Stats.t;
 }
 
 val base_speedup : row -> float
@@ -38,13 +38,17 @@ type spec = {
 val default_spec : spec
 
 (** Run one program at one machine width under one mode, set up by
-    {!Pipeline.for_mode} (which [tuning] and [machine] are passed to).
+    {!Pipeline.for_mode} (which [tuning], [innermost_only],
+    [group_spatial], [prefetch_clean] and [machine] are passed to).
     [jobs > 1] simulates the run's DOALL epochs in that many domain shards
     (intra-run parallelism, see {!Ccdp_runtime.Interp.run}); the default
     runs serially without creating a pool — the simulated result is
     identical either way. *)
 val run_program :
   ?tuning:Ccdp_analysis.Schedule.tuning ->
+  ?innermost_only:bool ->
+  ?group_spatial:bool ->
+  ?prefetch_clean:bool ->
   ?machine:(n_pes:int -> Ccdp_machine.Config.t) ->
   ?jobs:int ->
   n_pes:int ->
@@ -55,6 +59,9 @@ val run_program :
 (** {!run_program} on a workload's program. *)
 val run_mode :
   ?tuning:Ccdp_analysis.Schedule.tuning ->
+  ?innermost_only:bool ->
+  ?group_spatial:bool ->
+  ?prefetch_clean:bool ->
   ?machine:(n_pes:int -> Ccdp_machine.Config.t) ->
   ?jobs:int ->
   n_pes:int ->

@@ -64,14 +64,14 @@ let compile cfg ?(tuning = Schedule.default_tuning) ?innermost_only
     cluster_pes;
   }
 
-let for_mode ?tuning ?prefetch_clean ?mutate_stale
-    ?(machine = Ccdp_machine.Config.t3d) ~n_pes mode program =
+let for_mode ?tuning ?innermost_only ?group_spatial ?prefetch_clean
+    ?mutate_stale ?(machine = Ccdp_machine.Config.t3d) ~n_pes mode program =
   let open Ccdp_runtime in
   let cfg = machine ~n_pes:(if mode = Memsys.Seq then 1 else n_pes) in
   let planned ~cluster_coherent =
     let c =
-      compile cfg ?tuning ?prefetch_clean ~cluster_coherent ?mutate_stale
-        program
+      compile cfg ?tuning ?innermost_only ?group_spatial ?prefetch_clean
+        ~cluster_coherent ?mutate_stale program
     in
     { cfg; program = c.program; plan = c.plan; compiled = Some c }
   in

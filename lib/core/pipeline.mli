@@ -59,13 +59,15 @@ val compile :
 
 (** The set-up rule every comparison of coherence schemes runs under.
     [Seq] runs on a one-PE [machine] whatever [n_pes] says; [Ccdp] runs
-    the {!compile} with [tuning], [prefetch_clean] and [mutate_stale];
-    [Clustered] runs the same compile with [~cluster_coherent:true]; every
-    other mode runs the inlined program with an empty plan and compiles
-    nothing. [machine] selects the machine preset (default
-    {!Ccdp_machine.Config.t3d}). *)
+    the {!compile} with [tuning], [innermost_only], [group_spatial],
+    [prefetch_clean] and [mutate_stale]; [Clustered] runs the same compile
+    with [~cluster_coherent:true]; every other mode runs the inlined
+    program with an empty plan and compiles nothing. [machine] selects the
+    machine preset (default {!Ccdp_machine.Config.t3d}). *)
 val for_mode :
   ?tuning:Ccdp_analysis.Schedule.tuning ->
+  ?innermost_only:bool ->
+  ?group_spatial:bool ->
   ?prefetch_clean:bool ->
   ?mutate_stale:(Ccdp_analysis.Stale.result -> Ccdp_analysis.Stale.result) ->
   ?machine:(n_pes:int -> Ccdp_machine.Config.t) ->

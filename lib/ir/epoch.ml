@@ -62,8 +62,6 @@ let all t =
   in
   List.rev (collect [] t.nodes)
 
-let stmts_of = function Par l -> [ Stmt.For l ] | Ser ss -> ss
-
 let rec pp_node ppf = function
   | E (id, Par l) ->
       Format.fprintf ppf "epoch %d: parallel doall %s (loop %d)" id l.Stmt.var

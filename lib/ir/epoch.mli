@@ -31,7 +31,4 @@ val partition : Stmt.t list -> t
 (** Flatten: every epoch with its id, in program order. *)
 val all : t -> (int * epoch) list
 
-(** The statements of an epoch (the DOALL's [For] for parallel epochs). *)
-val stmts_of : epoch -> Stmt.t list
-
 val pp : Format.formatter -> t -> unit

@@ -17,11 +17,6 @@ let uniformly_generated a b =
         a.subs;
       !ok)
 
-let offset_vector a b =
-  if not (uniformly_generated a b) then None
-  else
-    Some (Array.mapi (fun i e -> Affine.const_part b.subs.(i) - Affine.const_part e) a.subs)
-
 let equal a b = a.id = b.id
 
 let pp ppf r =

@@ -25,9 +25,6 @@ val with_id : t -> int -> t
     pair has identical variable terms. *)
 val uniformly_generated : t -> t -> bool
 
-(** Constant offset vector from [a] to [b] when uniformly generated. *)
-val offset_vector : t -> t -> int array option
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -12,13 +12,6 @@ let shared = 1
 let exclusive = 2
 let modified = 3
 
-let state_name = function
-  | 0 -> "I"
-  | 1 -> "S"
-  | 2 -> "E"
-  | 3 -> "M"
-  | _ -> "?"
-
 module Dir = struct
   (* Per-line presence bitset + dirty-owner register, the full-map
      directory of Censier-Feautrier. Presence words pack 63 PEs each

@@ -23,8 +23,6 @@ val exclusive : int  (** 2 (MESI only) *)
 
 val modified : int  (** 3 *)
 
-val state_name : int -> string
-
 (** {1 Directory} *)
 
 module Dir : sig

@@ -1363,9 +1363,6 @@ let line_of t ~pe name ~idx =
   let h = handle_of t name in
   Addr_map.resolve_h h ~pe idx / t.cfg.Config.line_words
 
-let line_of_c t ~pe acc ~idx =
-  Addr_map.resolve_h acc.ah ~pe idx / t.cfg.Config.line_words
-
 let vget_issue_h ~skip_cached t ~pe h idxs =
   let ctx = t.ctxs.(pe) in
   let lw = t.cfg.Config.line_words in
@@ -1538,8 +1535,6 @@ let epoch_boundary t =
 let time t = Machine.time t.mach
 let total_stats t = Machine.total_stats t.mach
 
-let oracle_enabled t = t.ora <> None
-
 (* The getters fold any not-yet-drained per-PE staging on top of the
    settled oracle state, so mid-epoch introspection (unit tests driving
    read/write without barriers) sees every assertion. *)
@@ -1589,12 +1584,10 @@ let observed_stale_ids t =
   Hashtbl.fold (fun id () acc -> id :: acc) tbl [] |> List.sort compare
 
 let stale_cached_words t =
-  let lw = t.cfg.Config.line_words in
   let count = ref 0 in
   Array.iter
     (fun ctx ->
       for addr = 0 to Array.length t.mem - 1 do
-        ignore lw;
         match Cache.peek ctx.pe.Pe.cache ~addr with
         | Some v when v <> t.mem.(addr) -> incr count
         | Some _ | None -> ()

@@ -187,9 +187,6 @@ val write_c : t -> pe:int -> waccess -> addr:int -> float -> unit
 (** Prepared twin of {!issue_line_prefetch}; [addr] from {!access_addr}. *)
 val pf_issue_c : ?skip_cached:bool -> t -> pe:int -> raccess -> addr:int -> unit
 
-(** Prepared twin of {!line_of}. *)
-val line_of_c : t -> pe:int -> raccess -> idx:int array -> int
-
 (** Prepared twin of {!vget_issue}. *)
 val vget_issue_c :
   ?skip_cached:bool -> t -> pe:int -> raccess -> int array list -> unit
@@ -283,8 +280,6 @@ type violation = {
   v_write_epoch : int;  (** epoch that produced the missed write *)
   v_read_epoch : int;  (** epoch in which the stale hit happened *)
 }
-
-val oracle_enabled : t -> bool
 
 (** Number of oracle assertions evaluated (cache hits of tracked shared
     reads). 0 when the oracle is off. *)
