@@ -226,11 +226,19 @@ let oracle_overhead sizes =
 
 (* ---- engine wall-clock throughput ---------------------------------- *)
 
+(* Minor words allocated by every domain so far: Gc.minor_words counts the
+   calling domain only, which would miss what a sharded run's worker
+   domains allocate; after a minor collection Gc.quick_stat holds the
+   program-wide total. *)
+let all_minor_words () =
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.minor_words
+
 (* Host-time throughput of the compiled-plan engine (Interp) across the
    paper's four workloads and every coherence mode, plus the reference
    tree-walking engine (Interp_ref) on the CCDP rows so the speedup of
    the compiled plans is visible in the same document. Timed serially —
-   wall-clock and Gc.minor_words are per-run measurements and parallel
+   wall-clock and minor words are per-run measurements and parallel
    workers would contend for both. The simulated side (cycles, accesses)
    is asserted identical between the two engines. *)
 let perf sizes ~quick jobs =
@@ -247,11 +255,11 @@ let perf sizes ~quick jobs =
   (* [warm]: first run pays lowering/page-in noise *)
   let time_run ?(warm = true) f =
     if warm then ignore (f ());
-    let m0 = Gc.minor_words () in
+    let m0 = all_minor_words () in
     let t0 = Unix.gettimeofday () in
     let r = f () in
     let wall = Unix.gettimeofday () -. t0 in
-    (r, wall, Gc.minor_words () -. m0)
+    (r, wall, all_minor_words () -. m0)
   in
   (* one timed cell as a BENCH_perf.json row *)
   let perf_row ?(jobs = 1) ~workload ~mode ~pes ~engine ~wall ~cycles

@@ -96,6 +96,10 @@ type t = {
           their own scope) *)
   n_loops : int;
   sp_counts : int array;  (** loop uid -> number of sp ops (engine state) *)
+  stack_depth : int;
+      (** float-stack slots any one statement, condition or reduction
+          needs: an expression evaluates into slot [d] with its right
+          operands from [d + 1] up (see {!Ccdp_ir.Fexpr.binop_at}) *)
 }
 
 let n_int t = Array.length t.lay.int_names
@@ -202,6 +206,22 @@ and cap_stmt = function
   | XFor _ -> 0 (* nested loop: its own memo scope *)
 
 (* ------------------------------------------------------------------ *)
+(* Float-stack depth                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* slots an expression evaluated into slot 0 occupies: the left operand
+   in place, the right one a slot above it *)
+let rec depth_f = function
+  | XConst _ | XIvar _ | XSvar _ | XRead _ -> 1
+  | XUnop (_, a) -> depth_f a
+  | XBinop (_, a, b) -> max (depth_f a) (1 + depth_f b)
+
+(* a comparison holds both operands side by side, like a binary op *)
+let depth_cond = function
+  | XIcond _ -> 0
+  | XFcond (_, a, b) -> max (depth_f a) (1 + depth_f b)
+
+(* ------------------------------------------------------------------ *)
 (* Lowering                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -284,6 +304,8 @@ let lower (p : Program.t) (ep : Epoch.t) (plan : Annot.plan) =
   let clean id =
     Stale.verdict plan.Annot.stale id = Stale.Clean
   in
+  let depth = ref 0 in
+  let need d = if d > !depth then depth := d in
   let rec lower_f = function
     | Fexpr.Const c -> XConst c
     | Fexpr.Ivar v -> XIvar (islot v)
@@ -292,28 +314,43 @@ let lower (p : Program.t) (ep : Epoch.t) (plan : Annot.plan) =
     | Fexpr.Unop (op, a) -> XUnop (op, lower_f a)
     | Fexpr.Binop (op, a, b) -> XBinop (op, lower_f a, lower_f b)
   in
-  let lower_cond = function
-    | Stmt.Icond (op, a, b) -> XIcond (op, laff a, laff b)
-    | Stmt.Fcond (op, a, b) -> XFcond (op, lower_f a, lower_f b)
+  (* an expression evaluated on its own, into slot 0 *)
+  let lower_top e =
+    let x = lower_f e in
+    need (depth_f x);
+    x
+  in
+  let lower_cond c =
+    let x =
+      match c with
+      | Stmt.Icond (op, a, b) -> XIcond (op, laff a, laff b)
+      | Stmt.Fcond (op, a, b) -> XFcond (op, lower_f a, lower_f b)
+    in
+    need (depth_cond x);
+    x
   in
   let rec lower_stmts stmts = Array.of_list (List.map lower_stmt stmts)
   and lower_stmt s =
     match s with
     | Stmt.Assign (r, e) ->
-        XAssign { xflops = Stmt.direct_flops s; dst = new_write r; src = lower_f e }
+        XAssign
+          { xflops = Stmt.direct_flops s; dst = new_write r; src = lower_top e }
     | Stmt.Sassign (v, e) ->
-        XSassign { xflops = Stmt.direct_flops s; slot = fslot v; src = lower_f e }
+        XSassign
+          { xflops = Stmt.direct_flops s; slot = fslot v; src = lower_top e }
     | Stmt.If (c, a, b) -> XIf (lower_cond c, lower_stmts a, lower_stmts b)
     | Stmt.For l -> XFor (lower_loop l)
     | Stmt.Critical c ->
         XCritical { xc_lock = c.Stmt.lock; xc_body = lower_stmts c.Stmt.cbody }
     | Stmt.Reduce r ->
+        (* the partial joins the value as the left operand of [rop] *)
+        need 2;
         XReduce
           {
             xflops = Stmt.direct_flops s;
             slot = fslot r.Stmt.rvar;
             rop = r.Stmt.rop;
-            src = lower_f r.Stmt.rexpr;
+            src = lower_top r.Stmt.rexpr;
           }
     | Stmt.Call _ ->
         invalid_arg "Xplan.lower: program contains calls; inline first"
@@ -418,4 +455,5 @@ let lower (p : Program.t) (ep : Epoch.t) (plan : Annot.plan) =
     memo_caps = Array.of_list (List.rev !caps_rev);
     n_loops = !n_loops;
     sp_counts = Array.of_list (List.rev !sp_counts_rev);
+    stack_depth = !depth;
   }

@@ -126,6 +126,10 @@ type t = {
           their own scope) *)
   n_loops : int;
   sp_counts : int array;  (** loop uid -> number of sp ops (engine state) *)
+  stack_depth : int;
+      (** float-stack slots any one statement, condition or reduction
+          needs: an expression evaluates into slot [d] with its right
+          operands from [d + 1] up (see {!Ccdp_ir.Fexpr.binop_at}) *)
 }
 
 val n_int : t -> int

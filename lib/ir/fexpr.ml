@@ -46,10 +46,10 @@ let rec flops = function
   | Unop (_, e) -> 1 + flops e
   | Binop (_, a, b) -> 1 + flops a + flops b
 
-let apply_unop op x =
+let[@inline] apply_unop op x =
   match op with Neg -> -.x | Sqrt -> sqrt x | Abs -> abs_float x
 
-let apply_binop op a b =
+let[@inline] apply_binop op a b =
   match op with
   | Add -> a +. b
   | Sub -> a -. b
@@ -57,6 +57,9 @@ let apply_binop op a b =
   | Div -> a /. b
   | Min -> Float.min a b
   | Max -> Float.max a b
+
+let unop_at op stack d = stack.(d) <- apply_unop op stack.(d)
+let binop_at op stack d = stack.(d) <- apply_binop op stack.(d) stack.(d + 1)
 
 let string_of_binop = function
   | Add -> "+"

@@ -35,3 +35,14 @@ val apply_unop : unop -> float -> float
 val apply_binop : binop -> float -> float -> float
 val string_of_binop : binop -> string
 val pp : Format.formatter -> t -> unit
+
+(** {1 Stack forms}
+
+    The evaluators keep intermediate values on a float stack, because a
+    float passed to or returned from a function call that is not inlined
+    is boxed. [unop_at op stack d] replaces [stack.(d)] with
+    [apply_unop op stack.(d)]; [binop_at op stack d] replaces it with
+    [apply_binop op stack.(d) stack.(d + 1)]. Neither allocates. *)
+
+val unop_at : unop -> float array -> int -> unit
+val binop_at : binop -> float array -> int -> unit

@@ -38,7 +38,7 @@ let eval_cmp op a b =
   | Eq -> a = b
   | Ne -> a <> b
 
-let eval_fcmp op (a : float) (b : float) =
+let[@inline] eval_fcmp op (a : float) (b : float) =
   match op with
   | Lt -> a < b
   | Le -> a <= b
@@ -46,6 +46,8 @@ let eval_fcmp op (a : float) (b : float) =
   | Ge -> a >= b
   | Eq -> a = b
   | Ne -> a <> b
+
+let fcmp_at op stack d = eval_fcmp op stack.(d) stack.(d + 1)
 
 let direct_reads = function
   | Assign (_, e) | Sassign (_, e) | Reduce { rexpr = e; _ } -> Fexpr.reads e

@@ -69,6 +69,10 @@ and loop = {
 val eval_cmp : cmp -> int -> int -> bool
 val eval_fcmp : cmp -> float -> float -> bool
 
+(** [fcmp_at op stack d] is [eval_fcmp op stack.(d) stack.(d + 1)],
+    without boxing either operand (see {!Fexpr.binop_at}). *)
+val fcmp_at : cmp -> float array -> int -> bool
+
 (** All array reads performed by one statement, not descending into nested
     loops/ifs/calls. For [Assign], subscript evaluation itself performs no
     array reads (subscripts are affine), so this is exactly the RHS reads. *)

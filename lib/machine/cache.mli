@@ -28,9 +28,11 @@ val read : t -> addr:int -> float option
     exactly as {!read} does. *)
 val locate : t -> addr:int -> int
 
-(** Payload word at an offset returned by {!locate}. Only valid until the
-    next fill or invalidation. *)
-val data_at : t -> int -> float
+(** [data_at t off dst k] copies the payload word at an offset returned by
+    {!locate} into [dst.(k)] — into a slot rather than as a result, which
+    would box the float. The offset is only valid until the next fill or
+    invalidation. *)
+val data_at : t -> int -> float array -> int -> unit
 
 (** Hit test without recency update. *)
 val probe_line : t -> line:int -> bool
@@ -51,13 +53,15 @@ val fill :
     [line_words] payload straight out of [src] starting at word [pos]
     (memory itself), avoiding the [Array.sub] copy {!fill} requires. [vers]
     are per-word version stamps read at the same [pos]; pass [[||]] to reset
-    the stamps to 0. Same replacement policy as {!fill} (resident slot
-    reused, else true LRU way); the displaced line is reported through
+    the stamps to 0. [tick] and [state] are {!fill}'s, passed every time
+    (an optional argument would allocate its [Some]). Same replacement
+    policy as {!fill} (resident slot reused, else true LRU way); the
+    displaced line is reported through
     {!last_evicted_line}/{!last_evicted_state} rather than a return value,
     keeping the common path allocation-free. *)
 val fill_from :
-  t -> ?tick:int -> ?state:int -> vers:int array -> line:int ->
-  src:float array -> pos:int -> unit -> unit
+  t -> tick:int -> state:int -> vers:int array -> line:int ->
+  src:float array -> pos:int -> unit
 
 (** Line displaced by the most recent {!fill}/{!fill_from} (-1 = none —
     the slot was empty or the line was already resident). Scratch state:
@@ -78,20 +82,23 @@ val line_state : t -> line:int -> int
     sharing fetch). *)
 val set_line_state : t -> line:int -> int -> unit
 
-(** Fill-time stamp of a resident line ([None] on a miss) — the version
-    check of hardware-supported compiler-directed schemes compares this
-    against the array's last-write version. *)
-val fill_tick : t -> line:int -> int option
+(** Fill-time stamp of a resident line ([-1] on a miss; fill ticks are
+    never negative) — the version check of hardware-supported
+    compiler-directed schemes compares this against the array's
+    last-write version. *)
+val fill_tick : t -> line:int -> int
 
-(** Write-through update: if the addressed line is resident, patch the
-    cached copy (memory is updated by the caller). [ver] additionally
-    stamps the word's version tag with the write's version. *)
-val update_if_present : t -> ?ver:int -> addr:int -> float -> unit
+(** Write-through update: if [addr]'s line is resident, patch the cached
+    copy from memory — [mem.(addr)], which the caller has already
+    updated, so no float crosses the call — and when [ver >= 0] stamp the
+    word's version tag with the write's version ([-1] keeps the tag). *)
+val update_if_present : t -> mem:float array -> addr:int -> ver:int -> unit
 
-(** Version tag of a resident word without recency update ([None] on a
-    miss). The staleness oracle asserts this is no older than the last
-    write to the address that completed before the current epoch. *)
-val word_version : t -> addr:int -> int option
+(** Version tag of a resident word without recency update ([-1] on a
+    miss; tags are never negative). The staleness oracle asserts this is
+    no older than the last write to the address that completed before the
+    current epoch. *)
+val word_version : t -> addr:int -> int
 
 val invalidate_line : t -> line:int -> unit
 val invalidate_all : t -> unit

@@ -9,6 +9,8 @@
 
 type t
 
+(** [entries = 0] is an annex that holds nothing: every touch misses.
+    @raise Invalid_argument on a negative size. *)
 val create : entries:int -> t
 
 (** [touch t pe] returns [true] when the translation was already resident
@@ -16,4 +18,6 @@ val create : entries:int -> t
 val touch : t -> int -> bool
 
 val clear : t -> unit
+
+(** The resident PEs, most recently touched first. *)
 val resident : t -> int list

@@ -13,11 +13,15 @@ let create ~capacity =
 let capacity t = t.cap
 let occupancy t = t.occ
 
-let find t ~line =
-  List.find_map (fun e -> if e.line = line then Some e.ready else None) t.items
+(* a plain walk: a [List.find_map] closure would allocate on every read *)
+let rec find_in line = function
+  | [] -> -1
+  | e :: rest -> if e.line = line then e.ready else find_in line rest
+
+let find t ~line = find_in line t.items
 
 let try_insert t ~line ~words ~ready =
-  if find t ~line <> None then true
+  if find t ~line >= 0 then true
   else if t.occ + words > t.cap then false
   else begin
     t.items <- { line; words; ready } :: t.items;

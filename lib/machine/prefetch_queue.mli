@@ -19,8 +19,9 @@ val occupancy : t -> int
     counts a drop). Re-issuing a pending line is a no-op returning [true]. *)
 val try_insert : t -> line:int -> words:int -> ready:int -> bool
 
-(** Pending arrival time of a line. *)
-val find : t -> line:int -> int option
+(** Pending arrival cycle of a line, or [-1] when it is not pending
+    (arrival cycles are never negative). Allocates nothing. *)
+val find : t -> line:int -> int
 
 (** Remove a consumed line. *)
 val remove : t -> line:int -> unit

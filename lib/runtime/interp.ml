@@ -16,7 +16,9 @@ type result = {
    canonical word address: scopes hold a handful of distinct elements, so a
    scan beats hashing — and resetting is one store. [memo_caps] bounds the
    population statically; growth is a safety net only. [mup] is the memo
-   of the scope enclosing a nested loop's (see [link_memos]). *)
+   of the scope enclosing a nested loop's (see [link_memos]). Values come
+   and go by slot ([src.(k)]), never as float arguments, which would be
+   boxed. *)
 type memo = {
   mutable mn : int;
   mutable mkeys : int array;
@@ -28,13 +30,17 @@ let memo_make cap =
   let cap = max 1 cap in
   { mn = 0; mkeys = Array.make cap 0; mvals = Array.make cap 0.0; mup = None }
 
+(* a plain loop: a local recursive scan would be a closure allocated on
+   every read *)
 let memo_index m addr =
-  let n = m.mn in
-  let keys = m.mkeys in
-  let rec go i = if i >= n then -1 else if keys.(i) = addr then i else go (i + 1) in
-  go 0
+  let n = m.mn and keys = m.mkeys in
+  let i = ref 0 in
+  while !i < n && keys.(!i) <> addr do
+    incr i
+  done;
+  if !i < n then !i else -1
 
-let memo_add m addr v =
+let memo_add m addr src k =
   (if m.mn = Array.length m.mkeys then begin
      let cap = 2 * m.mn in
      let nk = Array.make cap 0 and nv = Array.make cap 0.0 in
@@ -44,28 +50,26 @@ let memo_add m addr v =
      m.mvals <- nv
    end);
   m.mkeys.(m.mn) <- addr;
-  m.mvals.(m.mn) <- v;
+  m.mvals.(m.mn) <- src.(k);
   m.mn <- m.mn + 1
 
-let memo_put m addr v =
+let memo_put m addr src k =
   let i = memo_index m addr in
-  if i >= 0 then m.mvals.(i) <- v else memo_add m addr v
+  if i >= 0 then m.mvals.(i) <- src.(k) else memo_add m addr src k
 
 (* A store inside a nested loop also refreshes the copies the enclosing
    scopes hold: their registers live across the nested loop, so without
    this an element they read before it would come back stale after it.
    Refreshing (rather than dropping) a copy keeps every hit a hit, so the
    timing is that of a compiler forwarding the store. *)
-let rec memo_refresh up addr v =
+let rec memo_refresh up addr src k =
   match up with
   | None -> ()
   | Some m ->
-      (* a plain loop, not [memo_index]: its scan closure would allocate
-         once per enclosing scope on every store *)
       for i = 0 to m.mn - 1 do
-        if m.mkeys.(i) = addr then m.mvals.(i) <- v
+        if m.mkeys.(i) = addr then m.mvals.(i) <- src.(k)
       done;
-      memo_refresh m.mup addr v
+      memo_refresh m.mup addr src k
 
 (* Point each nested loop's memo at its enclosing scope's: a loop
    iteration's or a serial epoch's (branch-condition scopes hold nothing
@@ -105,6 +109,9 @@ type scratch = {
   s_widx : int array array;
   s_memos : memo array;
   s_sp_lines : int array array;  (** per loop uid: last line issued per sp *)
+  s_stack : float array;
+      (** expression values: an expression evaluates into slot [d], its
+          right operands from [d + 1] up ({!Xplan.t.stack_depth} slots) *)
 }
 
 (* The closure family built over one scratch: the recursive evaluator
@@ -112,7 +119,7 @@ type scratch = {
 type engine = {
   e_range : int -> Xplan.loop -> first:int -> last:int -> step:int -> unit;
   e_loop : int -> Xplan.loop -> unit;
-  e_stmt : int -> memo -> Xplan.stmt -> unit;
+  e_stmts : int -> memo -> Xplan.stmt array -> unit;
   e_cond : int -> memo -> Xplan.cond -> bool;
   e_memos : memo array;
 }
@@ -163,6 +170,7 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
       s_memos = memos;
       s_sp_lines =
         Array.map (fun k -> Array.make (max 1 k) min_int) xp.Xplan.sp_counts;
+      s_stack = Array.make xp.Xplan.stack_depth 0.0;
     }
   in
   let epochs_executed = ref 0 in
@@ -196,216 +204,228 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
     let ridx = sc.s_ridx
     and widx = sc.s_widx
     and memos = sc.s_memos
-    and sp_lines = sc.s_sp_lines in
+    and sp_lines = sc.s_sp_lines
+    and stack = sc.s_stack in
     (* evaluate an occurrence's subscripts into its scratch buffer *)
     let eval_subs bufs pe (xr : Xplan.xref) =
-    let buf = bufs.(xr.Xplan.xacc) in
-    let subs = xr.Xplan.xsubs in
-    for d = 0 to Array.length subs - 1 do
-      buf.(d) <- eval_aff pe subs.(d)
-    done;
-    buf
-  in
-  let rec eval_f pe memo (e : Xplan.fexpr) =
-    match e with
-    | Xplan.XConst c -> c
-    | Xplan.XIvar s ->
-        if not ibound.(pe).(s) then unbound_var s;
-        float_of_int iframe.(pe).(s)
-    | Xplan.XSvar s ->
-        if not fbound.(pe).(s) then unbound_scalar s;
-        fframe.(pe).(s)
-    | Xplan.XRead xr ->
-        (* [memo] models statement-level register reuse: a compiler loads
-           each distinct element once per statement, further occurrences
-           read the register for free *)
-        let idx = eval_subs ridx pe xr in
-        let acc = raccs.(xr.Xplan.xacc) in
-        let addr = Memsys.access_addr sys acc ~pe ~idx in
-        let i = memo_index memo addr in
-        if i >= 0 then memo.mvals.(i)
-        else begin
-          let v = Memsys.read_c sys ~pe acc ~idx ~addr in
-          memo_add memo addr v;
-          v
-        end
-    | Xplan.XUnop (op, a) -> Fexpr.apply_unop op (eval_f pe memo a)
-    | Xplan.XBinop (op, a, b) ->
-        let x = eval_f pe memo a in
-        let y = eval_f pe memo b in
-        Fexpr.apply_binop op x y
-  in
-  let eval_cond pe memo = function
-    | Xplan.XIcond (op, a, b) ->
-        Stmt.eval_cmp op (eval_aff pe a) (eval_aff pe b)
-    | Xplan.XFcond (op, a, b) ->
-        Memsys.charge sys ~pe cfg.Config.flop;
-        let x = eval_f pe memo a in
-        let y = eval_f pe memo b in
-        Stmt.eval_fcmp op x y
-  in
-  (* Issue one software-pipelined prefetch for a future iteration of one
-     reference. With [every > 1] the compiler strip-mined the issue to one
-     prefetch instruction per cache line (self-spatial elimination): the
-     runtime realizes that soundly as a line-crossing test against the
-     previously issued line, so boundary and phase effects can never leave
-     a line unissued. *)
-  let sp_issue pe (l : Xplan.loop) (sp : Xplan.sp) k target_iter hi =
-    if (l.Xplan.l_step > 0 && target_iter <= hi)
-       || (l.Xplan.l_step < 0 && target_iter >= hi)
-    then begin
-      let var = l.Xplan.l_var in
-      let sv = iframe.(pe).(var) and sb = ibound.(pe).(var) in
-      iframe.(pe).(var) <- target_iter;
-      ibound.(pe).(var) <- true;
-      let idx = eval_subs ridx pe sp.Xplan.sp_ref in
-      iframe.(pe).(var) <- sv;
-      ibound.(pe).(var) <- sb;
-      let acc = raccs.(sp.Xplan.sp_ref.Xplan.xacc) in
-      let addr = Memsys.access_addr sys acc ~pe ~idx in
-      if sp.Xplan.sp_every <= 1 then
-        Memsys.pf_issue_c ~skip_cached:sp.Xplan.sp_clean sys ~pe acc ~addr
-      else begin
-        let line = addr / cfg.Config.line_words in
-        let lines = sp_lines.(l.Xplan.l_uid) in
-        if line <> lines.(k) then begin
-          lines.(k) <- line;
-          Memsys.pf_issue_c ~skip_cached:sp.Xplan.sp_clean sys ~pe acc ~addr
-        end
-      end
-    end
-  in
-  (* issue the vector prefetches attached to a loop, for the given range *)
-  let vector_issue pe (l : Xplan.loop) ~first ~last ~step =
-    Array.iter
-      (fun (vec : Xplan.vec) ->
+      let buf = bufs.(xr.Xplan.xacc) in
+      let subs = xr.Xplan.xsubs in
+      for d = 0 to Array.length subs - 1 do
+        buf.(d) <- eval_aff pe subs.(d)
+      done;
+      buf
+    in
+    (* evaluate [e] into [stack.(d)] *)
+    let rec eval_f pe memo (e : Xplan.fexpr) d =
+      match e with
+      | Xplan.XConst c -> stack.(d) <- c
+      | Xplan.XIvar s ->
+          if not ibound.(pe).(s) then unbound_var s;
+          stack.(d) <- float_of_int iframe.(pe).(s)
+      | Xplan.XSvar s ->
+          if not fbound.(pe).(s) then unbound_scalar s;
+          stack.(d) <- fframe.(pe).(s)
+      | Xplan.XRead xr ->
+          (* [memo] models statement-level register reuse: a compiler loads
+             each distinct element once per statement, further occurrences
+             read the register for free *)
+          let idx = eval_subs ridx pe xr in
+          let acc = raccs.(xr.Xplan.xacc) in
+          let addr = Memsys.access_addr sys acc ~pe ~idx in
+          let i = memo_index memo addr in
+          if i >= 0 then stack.(d) <- memo.mvals.(i)
+          else begin
+            Memsys.read_c sys ~pe acc ~idx ~addr;
+            stack.(d) <- (Memsys.reg sys ~pe).(0);
+            memo_add memo addr stack d
+          end
+      | Xplan.XUnop (op, a) ->
+          eval_f pe memo a d;
+          Fexpr.unop_at op stack d
+      | Xplan.XBinop (op, a, b) ->
+          eval_f pe memo a d;
+          eval_f pe memo b (d + 1);
+          Fexpr.binop_at op stack d
+    in
+    let eval_cond pe memo = function
+      | Xplan.XIcond (op, a, b) ->
+          Stmt.eval_cmp op (eval_aff pe a) (eval_aff pe b)
+      | Xplan.XFcond (op, a, b) ->
+          Memsys.charge sys ~pe cfg.Config.flop;
+          eval_f pe memo a 0;
+          eval_f pe memo b 1;
+          Stmt.fcmp_at op stack 0
+    in
+    (* Issue one software-pipelined prefetch for a future iteration of one
+       reference. With [every > 1] the compiler strip-mined the issue to one
+       prefetch instruction per cache line (self-spatial elimination): the
+       runtime realizes that soundly as a line-crossing test against the
+       previously issued line, so boundary and phase effects can never leave
+       a line unissued. *)
+    let sp_issue pe (l : Xplan.loop) (sp : Xplan.sp) k target_iter hi =
+      if (l.Xplan.l_step > 0 && target_iter <= hi)
+         || (l.Xplan.l_step < 0 && target_iter >= hi)
+      then begin
         let var = l.Xplan.l_var in
         let sv = iframe.(pe).(var) and sb = ibound.(pe).(var) in
-        let idxs = ref [] in
-        let collect () =
-          Array.iter
-            (fun m -> idxs := Array.copy (eval_subs ridx pe m) :: !idxs)
-            vec.Xplan.v_members
-        in
-        let sweep_inner () =
-          match vec.Xplan.v_inner with
-          | None -> collect ()
+        iframe.(pe).(var) <- target_iter;
+        ibound.(pe).(var) <- true;
+        let idx = eval_subs ridx pe sp.Xplan.sp_ref in
+        iframe.(pe).(var) <- sv;
+        ibound.(pe).(var) <- sb;
+        let acc = raccs.(sp.Xplan.sp_ref.Xplan.xacc) in
+        let addr = Memsys.access_addr sys acc ~pe ~idx in
+        if sp.Xplan.sp_every <= 1 then
+          Memsys.pf_issue_c ~skip_cached:sp.Xplan.sp_clean sys ~pe acc ~addr
+        else begin
+          let line = addr / cfg.Config.line_words in
+          let lines = sp_lines.(l.Xplan.l_uid) in
+          if line <> lines.(k) then begin
+            lines.(k) <- line;
+            Memsys.pf_issue_c ~skip_cached:sp.Xplan.sp_clean sys ~pe acc ~addr
+          end
+        end
+      end
+    in
+    (* add one point's member addresses to the PE's pending vector get;
+       every member resolves through the group's first access *)
+    let vector_collect pe (vec : Xplan.vec) acc =
+      let members = vec.Xplan.v_members in
+      for m = 0 to Array.length members - 1 do
+        let idx = eval_subs ridx pe members.(m) in
+        Memsys.vget_add sys ~pe ~addr:(Memsys.access_addr sys acc ~pe ~idx)
+      done
+    in
+    (* issue the vector prefetches attached to a loop, for the given range *)
+    let vector_issue pe (l : Xplan.loop) ~first ~last ~step =
+      let var = l.Xplan.l_var in
+      for vi = 0 to Array.length l.Xplan.l_vecs - 1 do
+        let vec = l.Xplan.l_vecs.(vi) in
+        let acc = raccs.(vec.Xplan.v_members.(0).Xplan.xacc) in
+        let sv = iframe.(pe).(var) and sb = ibound.(pe).(var) in
+        let v = ref first in
+        while if step > 0 then !v <= last else !v >= last do
+          iframe.(pe).(var) <- !v;
+          ibound.(pe).(var) <- true;
+          (match vec.Xplan.v_inner with
+          | None -> vector_collect pe vec acc
           | Some il ->
               let ifirst = eval_bound pe il.Xplan.l_lo in
               let ilast = eval_bound pe il.Xplan.l_hi in
-              let ivar = il.Xplan.l_var in
+              let ivar = il.Xplan.l_var and istep = il.Xplan.l_step in
               let isv = iframe.(pe).(ivar) and isb = ibound.(pe).(ivar) in
               let w = ref ifirst in
-              let cont () =
-                if il.Xplan.l_step > 0 then !w <= ilast else !w >= ilast
-              in
-              while cont () do
+              while if istep > 0 then !w <= ilast else !w >= ilast do
                 iframe.(pe).(ivar) <- !w;
                 ibound.(pe).(ivar) <- true;
-                collect ();
-                w := !w + il.Xplan.l_step
+                vector_collect pe vec acc;
+                w := !w + istep
               done;
               iframe.(pe).(ivar) <- isv;
-              ibound.(pe).(ivar) <- isb
-        in
-        let v = ref first in
-        let continue () = if step > 0 then !v <= last else !v >= last in
-        while continue () do
-          iframe.(pe).(var) <- !v;
-          ibound.(pe).(var) <- true;
-          sweep_inner ();
+              ibound.(pe).(ivar) <- isb);
           v := !v + step
         done;
         iframe.(pe).(var) <- sv;
         ibound.(pe).(var) <- sb;
-        Memsys.vget_issue_c ~skip_cached:vec.Xplan.v_clean sys ~pe
-          raccs.(vec.Xplan.v_members.(0).Xplan.xacc)
-          (List.rev !idxs))
-      l.Xplan.l_vecs
-  in
-  (* execute the iterations [first..last..step] of loop [l] on [pe] *)
-  let rec exec_range pe (l : Xplan.loop) ~first ~last ~step =
-    vector_issue pe l ~first ~last ~step;
-    let sps = l.Xplan.l_sps in
-    let lines = sp_lines.(l.Xplan.l_uid) in
-    Array.fill lines 0 (Array.length lines) min_int;
-    (* software-pipelining prologue: prefetch the first d iterations *)
-    Array.iteri
-      (fun k (sp : Xplan.sp) ->
+        Memsys.vget_issue_c ~skip_cached:vec.Xplan.v_clean sys ~pe acc
+      done
+    in
+    (* execute the iterations [first..last..step] of loop [l] on [pe] *)
+    let rec exec_range pe (l : Xplan.loop) ~first ~last ~step =
+      vector_issue pe l ~first ~last ~step;
+      let sps = l.Xplan.l_sps in
+      let lines = sp_lines.(l.Xplan.l_uid) in
+      Array.fill lines 0 (Array.length lines) min_int;
+      (* software-pipelining prologue: prefetch the first d iterations *)
+      for k = 0 to Array.length sps - 1 do
+        let sp = sps.(k) in
         for j = 0 to sp.Xplan.sp_dist - 1 do
           sp_issue pe l sp k (first + (j * step)) last
-        done)
-      sps;
-    let var = l.Xplan.l_var in
-    let sv = iframe.(pe).(var) and sb = ibound.(pe).(var) in
-    let memo = memos.(l.Xplan.l_memo) in
-    let body = l.Xplan.l_body in
-    let v = ref first in
-    let continue () = if step > 0 then !v <= last else !v >= last in
-    while continue () do
-      iframe.(pe).(var) <- !v;
-      ibound.(pe).(var) <- true;
-      Memsys.charge sys ~pe cfg.Config.loop_overhead;
-      Array.iteri
-        (fun k (sp : Xplan.sp) ->
-          sp_issue pe l sp k (!v + (sp.Xplan.sp_dist * step)) last)
-        sps;
-      (* fresh register file per iteration: scalar replacement is only
-         valid within a single iteration of the innermost loop *)
-      memo.mn <- 0;
-      Array.iter (exec_stmt pe memo) body;
-      v := !v + step
-    done;
-    iframe.(pe).(var) <- sv;
-    ibound.(pe).(var) <- sb
-
-  and exec_loop pe (l : Xplan.loop) =
-    let first = eval_bound pe l.Xplan.l_lo in
-    let last = eval_bound pe l.Xplan.l_hi in
-    exec_range pe l ~first ~last ~step:l.Xplan.l_step
-
-  and exec_stmt pe memo (s : Xplan.stmt) =
-    match s with
-    | Xplan.XAssign { xflops; dst; src } ->
-        Memsys.charge sys ~pe (xflops * cfg.Config.flop);
-        let v = eval_f pe memo src in
-        let idx = eval_subs widx pe dst in
-        let wa = waccs.(dst.Xplan.xacc) in
-        let addr = Memsys.write_addr sys wa ~pe ~idx in
-        Memsys.write_c sys ~pe wa ~addr v;
-        (* keep the register copies coherent with the store *)
-        memo_put memo addr v;
-        memo_refresh memo.mup addr v
-    | Xplan.XSassign { xflops; slot; src } ->
-        Memsys.charge sys ~pe (xflops * cfg.Config.flop);
-        fframe.(pe).(slot) <- eval_f pe memo src;
-        fbound.(pe).(slot) <- true
-    | Xplan.XIf (c, tb, eb) ->
-        if eval_cond pe memo c then Array.iter (exec_stmt pe memo) tb
-        else Array.iter (exec_stmt pe memo) eb
-    | Xplan.XFor l -> exec_loop pe l
-    | Xplan.XCritical { xc_lock; xc_body } ->
-        Memsys.lock_acquire sys ~pe xc_lock;
-        (* the acquire is a coherence frontier: registers holding shared
-           values cannot be trusted past it *)
+        done
+      done;
+      let var = l.Xplan.l_var in
+      let sv = iframe.(pe).(var) and sb = ibound.(pe).(var) in
+      let memo = memos.(l.Xplan.l_memo) in
+      let body = l.Xplan.l_body in
+      let v = ref first in
+      while if step > 0 then !v <= last else !v >= last do
+        iframe.(pe).(var) <- !v;
+        ibound.(pe).(var) <- true;
+        Memsys.charge sys ~pe cfg.Config.loop_overhead;
+        for k = 0 to Array.length sps - 1 do
+          let sp = sps.(k) in
+          sp_issue pe l sp k (!v + (sp.Xplan.sp_dist * step)) last
+        done;
+        (* fresh register file per iteration: scalar replacement is only
+           valid within a single iteration of the innermost loop *)
         memo.mn <- 0;
-        Array.iter (exec_stmt pe memo) xc_body;
-        Memsys.lock_release sys ~pe xc_lock
-    | Xplan.XReduce { xflops; slot; rop; src } ->
-        Memsys.charge sys ~pe (xflops * cfg.Config.flop);
-        let v = eval_f pe memo src in
-        let fr = fframe.(pe) and fb = fbound.(pe) in
-        if fb.(slot) then fr.(slot) <- Fexpr.apply_binop rop fr.(slot) v
-        else begin
-          (* first contribution seeds the partial *)
-          fr.(slot) <- v;
-          fb.(slot) <- true
-        end
+        exec_stmts pe memo body;
+        v := !v + step
+      done;
+      iframe.(pe).(var) <- sv;
+      ibound.(pe).(var) <- sb
+
+    and exec_loop pe (l : Xplan.loop) =
+      let first = eval_bound pe l.Xplan.l_lo in
+      let last = eval_bound pe l.Xplan.l_hi in
+      exec_range pe l ~first ~last ~step:l.Xplan.l_step
+
+    and exec_stmts pe memo (body : Xplan.stmt array) =
+      for i = 0 to Array.length body - 1 do
+        exec_stmt pe memo body.(i)
+      done
+
+    (* a statement's expression always evaluates into slot 0 *)
+    and exec_stmt pe memo (s : Xplan.stmt) =
+      match s with
+      | Xplan.XAssign { xflops; dst; src } ->
+          Memsys.charge sys ~pe (xflops * cfg.Config.flop);
+          eval_f pe memo src 0;
+          let idx = eval_subs widx pe dst in
+          let wa = waccs.(dst.Xplan.xacc) in
+          let addr = Memsys.write_addr sys wa ~pe ~idx in
+          (Memsys.reg sys ~pe).(0) <- stack.(0);
+          Memsys.write_c sys ~pe wa ~addr;
+          (* keep the register copies coherent with the store *)
+          memo_put memo addr stack 0;
+          memo_refresh memo.mup addr stack 0
+      | Xplan.XSassign { xflops; slot; src } ->
+          Memsys.charge sys ~pe (xflops * cfg.Config.flop);
+          eval_f pe memo src 0;
+          fframe.(pe).(slot) <- stack.(0);
+          fbound.(pe).(slot) <- true
+      | Xplan.XIf (c, tb, eb) ->
+          if eval_cond pe memo c then exec_stmts pe memo tb
+          else exec_stmts pe memo eb
+      | Xplan.XFor l -> exec_loop pe l
+      | Xplan.XCritical { xc_lock; xc_body } ->
+          Memsys.lock_acquire sys ~pe xc_lock;
+          (* the acquire is a coherence frontier: registers holding shared
+             values cannot be trusted past it *)
+          memo.mn <- 0;
+          exec_stmts pe memo xc_body;
+          Memsys.lock_release sys ~pe xc_lock
+      | Xplan.XReduce { xflops; slot; rop; src } ->
+          Memsys.charge sys ~pe (xflops * cfg.Config.flop);
+          eval_f pe memo src 0;
+          let fr = fframe.(pe) and fb = fbound.(pe) in
+          if fb.(slot) then begin
+            (* partial rop value, with the partial as the left operand *)
+            stack.(1) <- stack.(0);
+            stack.(0) <- fr.(slot);
+            Fexpr.binop_at rop stack 0;
+            fr.(slot) <- stack.(0)
+          end
+          else begin
+            (* first contribution seeds the partial *)
+            fr.(slot) <- stack.(0);
+            fb.(slot) <- true
+          end
     in
     {
       e_range = exec_range;
       e_loop = exec_loop;
-      e_stmt = exec_stmt;
+      e_stmts = exec_stmts;
       e_cond = eval_cond;
       e_memos = memos;
     }
@@ -533,7 +553,7 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
     let t0 = Machine.time (Memsys.machine sys) in
     let memo = main.e_memos.(memo_id) in
     memo.mn <- 0;
-    Array.iter (main.e_stmt 0 memo) stmts;
+    main.e_stmts 0 memo stmts;
     Memsys.epoch_boundary sys;
     record_epoch id (Machine.time (Memsys.machine sys) - t0)
   in

@@ -124,27 +124,51 @@ type oracle = {
   settled : ledger;
 }
 
-(* Per-PE vector-get staging buffer. The consumption order (oldest staged
-   line evicted first) is kept as a FIFO of [(line, generation)] pairs with
-   lazy deletion: consuming or evicting a line leaves its queue entry
-   behind as a tombstone, detected later by a generation mismatch against
-   [vstamp]. Re-staging a line that is still staged only refreshes its
-   ready cycle and keeps its queue position, exactly like the previous
-   list-based order did — and every operation is O(1) amortized where the
-   list paid O(staged lines) per consumed line. *)
+(* A growable int buffer; it allocates only when it doubles. *)
+type ivec = { mutable buf : int array; mutable len : int }
+
+let ivec n = { buf = Array.make (max 1 n) 0; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.buf then begin
+    let nb = Array.make (2 * v.len) 0 in
+    Array.blit v.buf 0 nb 0 v.len;
+    v.buf <- nb
+  end;
+  v.buf.(v.len) <- x;
+  v.len <- v.len + 1
+
+(* Per-PE state. Nothing on the per-access path allocates: values move
+   through [reg], line sets are generation-stamped [Line_table]s cleared
+   in O(1) at the barrier, and the vector-get staging order is an int
+   ring.
+
+   Vector-get staging: [vget] maps each staged line to its ready cycle
+   and the generation of its staging. The consumption order (oldest
+   staged line evicted first) is the ring of [(line, generation)] pairs
+   with lazy deletion: consuming or evicting a line leaves its ring entry
+   behind as a tombstone, detected later by a generation mismatch. Every
+   operation is O(1) amortized. *)
 type pe_ctx = {
   pe : Pe.t;
-  vget : (int, int) Hashtbl.t;  (** line -> ready cycle *)
-  vstamp : (int, int) Hashtbl.t;  (** line -> generation of its live entry *)
-  vq : (int * int) Queue.t;  (** staging order, oldest first; has tombstones *)
+  reg : float array;
+      (** the PE's one-word data register: a read delivers its value here,
+          a write stores the value found here *)
+  vget : Line_table.t;  (** staged line -> ready cycle, staging generation *)
+  mutable vq : int array;
+      (** staging-order ring of (line, generation) pairs, oldest first;
+          has tombstones; power-of-two length *)
+  mutable vq_head : int;  (** index of the oldest pair's line *)
+  mutable vq_len : int;  (** pairs in the ring *)
   mutable vgen : int;
   mutable vget_words : int;
-  fresh : (int, unit) Hashtbl.t;  (** lines filled since the last barrier *)
+  vaddrs : ivec;  (** element addresses of the vector get being assembled *)
+  vseen : Line_table.t;  (** lines already taken by the issuing vector get *)
+  fresh : Line_table.t;  (** lines filled since the last barrier *)
   mutable epoch_start : int;
   (* Buffered-mode private ledgers, reduced in PE-major order at the epoch
      barrier so sharded execution reproduces the serial reduction exactly. *)
-  mutable wbuf : int array;  (** addresses written this epoch, program order *)
-  mutable wn : int;
+  wlog : ivec;  (** addresses written this epoch, program order *)
   staged : ledger;
   pobs : (int, unit) Hashtbl.t;  (** staged INCOHERENT observed-stale ids *)
   fbuf : float array;  (** scratch line for patched buffered fills *)
@@ -272,15 +296,18 @@ let make cfg ~oracle ~sabotage (p : Program.t) ~plan md ~buffered =
       Array.init cfg.Config.n_pes (fun i ->
           {
             pe = Machine.pe mach i;
-            vget = Hashtbl.create 64;
-            vstamp = Hashtbl.create 64;
-            vq = Queue.create ();
+            reg = [| 0.0 |];
+            vget = Line_table.create 16;
+            vq = Array.make 32 0;
+            vq_head = 0;
+            vq_len = 0;
             vgen = 0;
             vget_words = 0;
-            fresh = Hashtbl.create 256;
+            vaddrs = ivec 32;
+            vseen = Line_table.create 16;
+            fresh = Line_table.create 16;
             epoch_start = 0;
-            wbuf = (if buffered then Array.make 64 0 else [||]);
-            wn = 0;
+            wlog = ivec (if buffered then 64 else 0);
             staged = ledger ();
             pobs = Hashtbl.create 16;
             fbuf =
@@ -363,6 +390,7 @@ let set t name idx v =
     (Addr_map.all_copies t.amap name idx)
 
 let get t name idx = t.mem.(Addr_map.canonical t.amap name idx)
+let reg t ~pe = t.ctxs.(pe).reg
 let charge t ~pe c =
   let ctx = t.ctxs.(pe) in
   ctx.pe.Pe.stats.Stats.flop_cycles <- ctx.pe.Pe.stats.Stats.flop_cycles + c;
@@ -532,7 +560,7 @@ let buffered_fill ~state t ctx line =
   done;
   if not !own then
     Cache.fill_from ctx.pe.Pe.cache ~tick:t.epoch_tick ~state ~vers:t.wv ~line
-      ~src:t.shadow ~pos ()
+      ~src:t.shadow ~pos
   else begin
     (* patch the PE's own writes over the shadow in a scratch line; the
        captured versions come from the same position, so they are staged
@@ -549,23 +577,24 @@ let buffered_fill ~state t ctx line =
       end
     in
     Cache.fill_from ctx.pe.Pe.cache ~tick:t.epoch_tick ~state ~vers ~line
-      ~src:ctx.fbuf ~pos:0 ()
+      ~src:ctx.fbuf ~pos:0
   end
 
-(* The value an access observes for [addr] right after its line filled:
-   under buffering, own same-epoch writes from memory, everything else
-   from the shadow the fill actually delivered. *)
-let filled_value t ctx addr =
-  if not t.buffered then t.mem.(addr)
-  else if t.wstamp.(addr) = stamp_of t ctx.pe.Pe.id then t.mem.(addr)
-  else t.shadow.(addr)
+(* Where an access observes [addr] right after its line filled: under
+   buffering, memory for own same-epoch writes, else the shadow the fill
+   actually delivered. The array, not the value, so no float is boxed. *)
+let filled_src t ctx addr =
+  if t.buffered && t.wstamp.(addr) <> stamp_of t ctx.pe.Pe.id then t.shadow
+  else t.mem
 
-let fill ?(state = 1 (* Coherence.shared *)) t ctx line =
+let deliver_filled t ctx addr = ctx.reg.(0) <- (filled_src t ctx addr).(addr)
+
+let fill ~state t ctx line =
   if t.buffered then buffered_fill ~state t ctx line
   else
     Cache.fill_from ctx.pe.Pe.cache ~tick:t.epoch_tick ~state ~vers:t.wv ~line
       ~src:t.mem
-      ~pos:(line * t.cfg.Config.line_words) ();
+      ~pos:(line * t.cfg.Config.line_words);
   (match t.hw with
   | Hw_none -> ()
   | Hw_snoop _ | Hw_cluster ->
@@ -577,7 +606,7 @@ let fill ?(state = 1 (* Coherence.shared *)) t ctx line =
   | Hw_dir d ->
       dir_note_eviction t ctx d;
       Coherence.Dir.add d ~line ~pe:ctx.pe.Pe.id);
-  Hashtbl.replace ctx.fresh line ()
+  Line_table.replace ctx.fresh line ~v1:0 ~v2:0
 
 let record_arrival ctx ~stall =
   let s = ctx.pe.Pe.stats in
@@ -603,11 +632,8 @@ let oracle_check t ctx (r : Reference.t) idx addr =
   match t.ora with
   | None -> ()
   | Some o ->
-      let cv =
-        match Cache.word_version ctx.pe.Pe.cache ~addr with
-        | Some v -> v
-        | None -> 0
-      in
+      (* resident: the oracle asserts at hits only *)
+      let cv = Cache.word_version ctx.pe.Pe.cache ~addr in
       (* Mini-epoch refinement: under buffering a cached copy can never
          contain another PE's current-epoch write (fills observe the
          epoch-start shadow, write-through patches only the writer, and
@@ -668,11 +694,10 @@ let oracle_check t ctx (r : Reference.t) idx addr =
             :: l.witnesses
       end
 
-(* Consume a staged vector-get line: drop the table entries; the FIFO entry
+(* Consume a staged vector-get line: drop its table entry; the ring entry
    stays behind as a tombstone (generation mismatch). *)
 let vget_consume ctx line lw =
-  Hashtbl.remove ctx.vget line;
-  Hashtbl.remove ctx.vstamp line;
+  Line_table.remove ctx.vget line;
   ctx.vget_words <- ctx.vget_words - lw
 
 (* A read served by the cached line at offset [off]; the oracle asserts
@@ -681,7 +706,7 @@ let hit ~track t ctx (r : Reference.t) idx addr off =
   if track then oracle_check t ctx r idx addr;
   ctx.pe.Pe.stats.Stats.hits <- ctx.pe.Pe.stats.Stats.hits + 1;
   Pe.advance ctx.pe t.cfg.Config.hit;
-  Cache.data_at ctx.pe.Pe.cache off
+  Cache.data_at ctx.pe.Pe.cache off ctx.reg 0
 
 let count_miss ctx tgt =
   let s = ctx.pe.Pe.stats in
@@ -694,8 +719,8 @@ let arrive t ctx ~ready ~extract line addr =
   let stall = max 0 (ready - ctx.pe.Pe.clock) in
   record_arrival ctx ~stall;
   Pe.advance ctx.pe (stall + extract);
-  fill t ctx line;
-  filled_value t ctx addr
+  fill ~state:Coherence.shared t ctx line;
+  deliver_filled t ctx addr
 
 (* The ordinary cached-read protocol: consume a pending vector-get or queue
    entry if one exists, then the cache, then demand-fetch. [fresh_only]
@@ -708,29 +733,32 @@ let cached_read ?(fresh_only = false) ?(track = false) t ctx (r : Reference.t)
     idx addr tgt =
   let lw = t.cfg.Config.line_words in
   let line = addr / lw in
-  match Hashtbl.find_opt ctx.vget line with
-  | Some ready ->
-      vget_consume ctx line lw;
-      arrive t ctx ~ready ~extract:t.cfg.Config.hit line addr
-  | None -> (
-      match Prefetch_queue.find ctx.pe.Pe.queue ~line with
-      | Some ready ->
-          Prefetch_queue.remove ctx.pe.Pe.queue ~line;
-          arrive t ctx ~ready ~extract:t.cfg.Config.pf_extract line addr
-      | None ->
-          let off =
-            if fresh_only && not (Hashtbl.mem ctx.fresh line) then -1
-            else Cache.locate ctx.pe.Pe.cache ~addr
-          in
-          if off >= 0 then hit ~track t ctx r idx addr off
-          else begin
-            count_miss ctx tgt;
-            let ac = annex_cost t ctx tgt in
-            let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
-            Pe.advance ctx.pe (ac + latency_of t ~pe:ctx.pe.Pe.id tgt + delay);
-            fill t ctx line;
-            filled_value t ctx addr
-          end)
+  let staged = Line_table.find ctx.vget line in
+  if staged >= 0 then begin
+    let ready = Line_table.v1 ctx.vget staged in
+    vget_consume ctx line lw;
+    arrive t ctx ~ready ~extract:t.cfg.Config.hit line addr
+  end
+  else
+    let ready = Prefetch_queue.find ctx.pe.Pe.queue ~line in
+    if ready >= 0 then begin
+      Prefetch_queue.remove ctx.pe.Pe.queue ~line;
+      arrive t ctx ~ready ~extract:t.cfg.Config.pf_extract line addr
+    end
+    else
+      let off =
+        if fresh_only && not (Line_table.mem ctx.fresh line) then -1
+        else Cache.locate ctx.pe.Pe.cache ~addr
+      in
+      if off >= 0 then hit ~track t ctx r idx addr off
+      else begin
+        count_miss ctx tgt;
+        let ac = annex_cost t ctx tgt in
+        let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
+        Pe.advance ctx.pe (ac + latency_of t ~pe:ctx.pe.Pe.id tgt + delay);
+        fill ~state:Coherence.shared t ctx line;
+        deliver_filled t ctx addr
+      end
 
 (* A read around the cache, counted as a bypass or as BASE's uncached
    access. *)
@@ -742,7 +770,7 @@ let uncached_read ~bypass t ctx addr tgt =
   let ac = annex_cost t ctx tgt in
   let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
   Pe.advance ctx.pe (ac + uncached_latency_of t ~pe:ctx.pe.Pe.id tgt + delay);
-  t.mem.(addr)
+  ctx.reg.(0) <- t.mem.(addr)
 
 (* A moved-back prefetch: the issue happened [back] cycles ago (clamped to
    the epoch start), so the reader only stalls for the residual latency. *)
@@ -803,12 +831,12 @@ let hscd_read ver t ctx (r : Reference.t) idx addr tgt =
         if v.writers = 0 || v.writers = writer_bit ctx.pe.Pe.id then v.settled
         else t.epoch_tick
   in
-  (match Cache.fill_tick ctx.pe.Pe.cache ~line with
-  | Some ft when ft <= effective ->
-      Cache.invalidate_line ctx.pe.Pe.cache ~line;
-      ctx.pe.Pe.stats.Stats.invalidations <-
-        ctx.pe.Pe.stats.Stats.invalidations + 1
-  | Some _ | None -> ());
+  let ft = Cache.fill_tick ctx.pe.Pe.cache ~line in
+  if ft >= 0 && ft <= effective then begin
+    Cache.invalidate_line ctx.pe.Pe.cache ~line;
+    ctx.pe.Pe.stats.Stats.invalidations <-
+      ctx.pe.Pe.stats.Stats.invalidations + 1
+  end;
   cached_read ~track:true t ctx r idx addr tgt
 
 (* ------------------------------------------------------------------ *)
@@ -878,7 +906,7 @@ let snoop_read ~exclusive ~lo ~hi ~bus t ctx (r : Reference.t) idx addr tgt =
       if exclusive && copies = 0 then Coherence.exclusive else Coherence.shared
     in
     fill ~state t ctx line;
-    t.mem.(addr)
+    ctx.reg.(0) <- t.mem.(addr)
   end
 
 let snoop_write mesi t ctx wh ~addr =
@@ -950,8 +978,8 @@ let dir_read d t ctx (r : Reference.t) idx addr tgt =
     in
     let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
     Pe.advance ctx.pe (ac + latency_of t ~pe:self tgt + delay + extra);
-    fill t ctx line;
-    t.mem.(addr)
+    fill ~state:Coherence.shared t ctx line;
+    ctx.reg.(0) <- t.mem.(addr)
   end
 
 let dir_write d t ctx wh ~addr =
@@ -1157,11 +1185,10 @@ let rec dispatch_read t ctx (r : Reference.t) ~idx ~addr ~tgt ~ver route =
          unbuffered; under buffering it is the epoch-deterministic settled
          value (own writes from memory, the rest from the barrier shadow),
          staged per-PE and merged at the barrier. *)
-      let v = cached_read ~track:true t ctx r idx addr tgt in
-      if v <> filled_value t ctx addr then
+      cached_read ~track:true t ctx r idx addr tgt;
+      if ctx.reg.(0) <> (filled_src t ctx addr).(addr) then
         if t.buffered then Hashtbl.replace ctx.pobs r.id ()
-        else Hashtbl.replace t.observed_stale r.id ();
-      v
+        else Hashtbl.replace t.observed_stale r.id ()
   | RHscd -> hscd_read ver t ctx r idx addr tgt
   | RSnoop mesi ->
       snoop_read ~exclusive:mesi ~lo:0 ~hi:(Array.length t.ctxs)
@@ -1177,9 +1204,9 @@ let rec dispatch_read t ctx (r : Reference.t) ~idx ~addr ~tgt ~ver route =
          consume; anything else means the issue was dropped -> bypass fetch *)
       let line = addr / t.cfg.Config.line_words in
       if
-        Hashtbl.mem ctx.vget line
-        || Prefetch_queue.find ctx.pe.Pe.queue ~line <> None
-        || Hashtbl.mem ctx.fresh line
+        Line_table.mem ctx.vget line
+        || Prefetch_queue.find ctx.pe.Pe.queue ~line >= 0
+        || Line_table.mem ctx.fresh line
       then cached_read ~fresh_only:true ~track:true t ctx r idx addr tgt
       else uncached_read ~bypass:true t ctx addr tgt
   | RCluster inner ->
@@ -1228,7 +1255,8 @@ let read_c t ~pe acc ~idx ~addr =
 
 let read t ~pe r ~idx =
   let acc = prepare_read t r in
-  read_c t ~pe acc ~idx ~addr:(access_addr t acc ~pe ~idx)
+  read_c t ~pe acc ~idx ~addr:(access_addr t acc ~pe ~idx);
+  t.ctxs.(pe).reg.(0)
 
 type waccess = {
   wh : Addr_map.handle;
@@ -1256,20 +1284,11 @@ let prepare_write t (r : Reference.t) =
 
 let write_addr _t wa ~pe ~idx = Addr_map.resolve_h wa.wh ~pe idx
 
-let wlog_push ctx addr =
-  let cap = Array.length ctx.wbuf in
-  if ctx.wn = cap then begin
-    let nb = Array.make (2 * cap) 0 in
-    Array.blit ctx.wbuf 0 nb 0 cap;
-    ctx.wbuf <- nb
-  end;
-  ctx.wbuf.(ctx.wn) <- addr;
-  ctx.wn <- ctx.wn + 1
-
-let write_c t ~pe wa ~addr v =
+let write_c t ~pe wa ~addr =
   let ctx = t.ctxs.(pe) in
   ctx.pe.Pe.stats.Stats.writes <- ctx.pe.Pe.stats.Stats.writes + 1;
-  t.mem.(addr) <- v;
+  t.mem.(addr) <- ctx.reg.(0);
+  (* the version the write-through stamps on the cached copy; -1 = none *)
   let ver =
     if t.buffered then begin
       (* stamp + log; oracle version assignment and the shadow update are
@@ -1277,23 +1296,24 @@ let write_c t ~pe wa ~addr v =
          independent of shard interleaving. The writer's cached copy gets
          its version patched at the drain, once the version exists. *)
       t.wstamp.(addr) <- stamp_of t pe;
-      wlog_push ctx addr;
-      None
+      push ctx.wlog addr;
+      -1
     end
     else
       match t.ora with
-      | None -> None
+      | None -> -1
       | Some o ->
           o.next_ver <- o.next_ver + 1;
           o.wver.(addr) <- o.next_ver;
           o.wepoch.(addr) <- t.epoch_tick;
           o.wpe.(addr) <- pe;
-          Some o.next_ver
+          o.next_ver
   in
   (match wa.wver with
   | Some vr -> vr.writers <- vr.writers lor writer_bit pe
   | None -> ());
-  if wa.wcaches then Cache.update_if_present ctx.pe.Pe.cache ?ver ~addr v;
+  if wa.wcaches then
+    Cache.update_if_present ctx.pe.Pe.cache ~mem:t.mem ~addr ~ver;
   match wa.wproto with
   | Hw_none ->
       Pe.advance ctx.pe
@@ -1307,7 +1327,8 @@ let write_c t ~pe wa ~addr v =
 let write t ~pe (r : Reference.t) ~idx v =
   let wa = prepare_write t r in
   let addr = Addr_map.resolve_h wa.wh ~pe idx in
-  write_c t ~pe wa ~addr v
+  t.ctxs.(pe).reg.(0) <- v;
+  write_c t ~pe wa ~addr
 
 (* ------------------------------------------------------------------ *)
 (* Prefetch issue                                                      *)
@@ -1328,9 +1349,9 @@ let issue_prefetch_at ~skip_cached t ctx ~addr ~tgt =
   let line = addr / lw in
   let already =
     island_coherent t ~pe:ctx.pe.Pe.id ~tgt
-    || Hashtbl.mem ctx.vget line
-    || Prefetch_queue.find ctx.pe.Pe.queue ~line <> None
-    || ((skip_cached || Hashtbl.mem ctx.fresh line)
+    || Line_table.mem ctx.vget line
+    || Prefetch_queue.find ctx.pe.Pe.queue ~line >= 0
+    || ((skip_cached || Line_table.mem ctx.fresh line)
        && Cache.probe_line ctx.pe.Pe.cache ~line)
   in
   (* the prefetch instruction executes either way; the line transfer and
@@ -1341,7 +1362,7 @@ let issue_prefetch_at ~skip_cached t ctx ~addr ~tgt =
     (* invalidate before issuing (paper Section 3): the stale copy must not
        be readable while the prefetch is in flight *)
     Cache.invalidate_line ctx.pe.Pe.cache ~line;
-    Hashtbl.remove ctx.fresh line;
+    Line_table.remove ctx.fresh line;
     let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
     let ready = ctx.pe.Pe.clock + latency_of t ~pe:ctx.pe.Pe.id tgt + delay in
     if Prefetch_queue.try_insert ctx.pe.Pe.queue ~line ~words:lw ~ready then
@@ -1355,7 +1376,7 @@ let issue_line_prefetch ?(skip_cached = false) t ~pe name ~idx =
   issue_prefetch_at ~skip_cached t t.ctxs.(pe) ~addr
     ~tgt:(Addr_map.target_of h ~pe ~addr)
 
-let pf_issue_c ?(skip_cached = false) t ~pe acc ~addr =
+let pf_issue_c ~skip_cached t ~pe acc ~addr =
   issue_prefetch_at ~skip_cached t t.ctxs.(pe) ~addr
     ~tgt:(Addr_map.target_of acc.ah ~pe ~addr)
 
@@ -1363,35 +1384,59 @@ let line_of t ~pe name ~idx =
   let h = handle_of t name in
   Addr_map.resolve_h h ~pe idx / t.cfg.Config.line_words
 
-let vget_issue_h ~skip_cached t ~pe h idxs =
+(* Append a pair to the staging-order ring, unrolling it into one twice
+   the size when it is full. *)
+let vq_push ctx line gen =
+  let cap = Array.length ctx.vq in
+  if 2 * ctx.vq_len = cap then begin
+    let nq = Array.make (2 * cap) 0 in
+    let tail = cap - ctx.vq_head in
+    Array.blit ctx.vq ctx.vq_head nq 0 tail;
+    Array.blit ctx.vq 0 nq tail ctx.vq_head;
+    ctx.vq <- nq;
+    ctx.vq_head <- 0
+  end;
+  let p = (ctx.vq_head + (2 * ctx.vq_len)) land (Array.length ctx.vq - 1) in
+  ctx.vq.(p) <- line;
+  ctx.vq.(p + 1) <- gen;
+  ctx.vq_len <- ctx.vq_len + 1
+
+let vget_add t ~pe ~addr = push t.ctxs.(pe).vaddrs addr
+
+let vget_issue_h ~skip_cached t ~pe h =
   let ctx = t.ctxs.(pe) in
   let lw = t.cfg.Config.line_words in
-  let lines = Hashtbl.create 64 in
-  let ordered = ref [] in
-  let first_target = ref (-1) in
-  List.iter
-    (fun idx ->
-      let addr = Addr_map.resolve_h h ~pe idx in
-      let tgt = Addr_map.target_of h ~pe ~addr in
-      if !first_target < 0 && tgt >= 0 then first_target := tgt;
-      let line = addr / lw in
-      if not (Hashtbl.mem lines line) then begin
-        Hashtbl.replace lines line ();
-        (* skip lines this epoch's machinery already staged or fetched,
-           and island-homed lines under the clustered protocol (served
-           coherently; staging would only displace valid copies) *)
-        if
-          not
-            (island_coherent t ~pe ~tgt
-            || ((skip_cached || Hashtbl.mem ctx.fresh line)
-               && Cache.probe_line ctx.pe.Pe.cache ~line)
-            || Hashtbl.mem ctx.vget line)
-        then ordered := line :: !ordered
-      end)
-    idxs;
-  let ordered = List.rev !ordered in
-  let n = List.length ordered in
-  if Hashtbl.length lines > 0 then begin
+  let addrs = ctx.vaddrs in
+  Line_table.clear ctx.vseen;
+  let first_target = ref (-1) and n = ref 0 in
+  (* the lines to stage, in order, overwrite the front of the address
+     buffer: line [k] is written only after address [k] was read *)
+  for i = 0 to addrs.len - 1 do
+    let addr = addrs.buf.(i) in
+    let tgt = Addr_map.target_of h ~pe ~addr in
+    if !first_target < 0 && tgt >= 0 then first_target := tgt;
+    let line = addr / lw in
+    if not (Line_table.mem ctx.vseen line) then begin
+      Line_table.replace ctx.vseen line ~v1:0 ~v2:0;
+      (* skip lines this epoch's machinery already staged or fetched,
+         and island-homed lines under the clustered protocol (served
+         coherently; staging would only displace valid copies) *)
+      if
+        not
+          (island_coherent t ~pe ~tgt
+          || ((skip_cached || Line_table.mem ctx.fresh line)
+             && Cache.probe_line ctx.pe.Pe.cache ~line)
+          || Line_table.mem ctx.vget line)
+      then begin
+        addrs.buf.(!n) <- line;
+        incr n
+      end
+    end
+  done;
+  let issued = addrs.len > 0 in
+  addrs.len <- 0;
+  let n = !n in
+  if issued then begin
     (* the block-transfer call is issued whenever the operation executes —
        a redundant vector prefetch still pays its start-up and translation
        overhead, even if every line turns out to be staged already *)
@@ -1406,44 +1451,48 @@ let vget_issue_h ~skip_cached t ~pe h idxs =
       else contend t ctx !first_target ~now:ctx.pe.Pe.clock ~lines:n
     in
     Pe.advance ctx.pe (ac + t.cfg.Config.vget_startup);
-    List.iteri
-      (fun k line ->
-        Cache.invalidate_line ctx.pe.Pe.cache ~line;
-        Hashtbl.remove ctx.fresh line;
-        (* the staging buffer holds at most a cache's worth of in-flight
-           vector data: staging beyond that displaces the oldest unconsumed
-           lines — the eviction hazard that motivates the paper's one-level
-           pulling restriction. Tombstoned FIFO entries (consumed or already
-           displaced lines) are skipped without counting as evictions. *)
-        while
-          ctx.vget_words + lw > t.cfg.Config.cache_words
-          && Hashtbl.length ctx.vget > 0
-        do
-          let oldest, gen = Queue.pop ctx.vq in
-          match Hashtbl.find_opt ctx.vstamp oldest with
-          | Some g when g = gen ->
-              vget_consume ctx oldest lw;
-              s.Stats.pf_evicted <- s.Stats.pf_evicted + 1
-          | Some _ | None -> ()
-        done;
-        let ready =
-          ctx.pe.Pe.clock + delay + ((k + 1) * lw * t.cfg.Config.vget_per_word)
-        in
-        if not (Hashtbl.mem ctx.vget line) then begin
-          ctx.vgen <- ctx.vgen + 1;
-          Hashtbl.replace ctx.vstamp line ctx.vgen;
-          Queue.push (line, ctx.vgen) ctx.vq;
-          ctx.vget_words <- ctx.vget_words + lw
-        end;
-        Hashtbl.replace ctx.vget line ready)
-      ordered
+    for k = 0 to n - 1 do
+      let line = addrs.buf.(k) in
+      Cache.invalidate_line ctx.pe.Pe.cache ~line;
+      Line_table.remove ctx.fresh line;
+      (* the staging buffer holds at most a cache's worth of in-flight
+         vector data: staging beyond that displaces the oldest unconsumed
+         lines — the eviction hazard that motivates the paper's one-level
+         pulling restriction. Tombstoned ring entries (consumed or already
+         displaced lines) are skipped without counting as evictions. *)
+      while
+        ctx.vget_words + lw > t.cfg.Config.cache_words
+        && Line_table.length ctx.vget > 0
+      do
+        let oldest = ctx.vq.(ctx.vq_head) and gen = ctx.vq.(ctx.vq_head + 1) in
+        ctx.vq_head <- (ctx.vq_head + 2) land (Array.length ctx.vq - 1);
+        ctx.vq_len <- ctx.vq_len - 1;
+        let live = Line_table.find ctx.vget oldest in
+        if live >= 0 && Line_table.v2 ctx.vget live = gen then begin
+          vget_consume ctx oldest lw;
+          s.Stats.pf_evicted <- s.Stats.pf_evicted + 1
+        end
+      done;
+      (* never staged already: the line was unstaged when collected,
+         and the lines staged since are other lines *)
+      let ready =
+        ctx.pe.Pe.clock + delay + ((k + 1) * lw * t.cfg.Config.vget_per_word)
+      in
+      ctx.vgen <- ctx.vgen + 1;
+      vq_push ctx line ctx.vgen;
+      ctx.vget_words <- ctx.vget_words + lw;
+      Line_table.replace ctx.vget line ~v1:ready ~v2:ctx.vgen
+    done
   end
 
 let vget_issue ?(skip_cached = false) t ~pe name idxs =
-  vget_issue_h ~skip_cached t ~pe (handle_of t name) idxs
+  let h = handle_of t name in
+  List.iter
+    (fun idx -> vget_add t ~pe ~addr:(Addr_map.resolve_h h ~pe idx))
+    idxs;
+  vget_issue_h ~skip_cached t ~pe h
 
-let vget_issue_c ?(skip_cached = false) t ~pe acc idxs =
-  vget_issue_h ~skip_cached t ~pe acc.ah idxs
+let vget_issue_c ~skip_cached t ~pe acc = vget_issue_h ~skip_cached t ~pe acc.ah
 
 (* Barrier drain of the buffered-mode private ledgers, in PE-major order —
    the same order serial replay executes PEs in, so the settled versions,
@@ -1453,8 +1502,8 @@ let vget_issue_c ?(skip_cached = false) t ~pe acc idxs =
 let drain_buffered t =
   Array.iter
     (fun ctx ->
-      for i = 0 to ctx.wn - 1 do
-        let a = ctx.wbuf.(i) in
+      for i = 0 to ctx.wlog.len - 1 do
+        let a = ctx.wlog.buf.(i) in
         (match t.ora with
         | Some o ->
             o.next_ver <- o.next_ver + 1;
@@ -1462,12 +1511,12 @@ let drain_buffered t =
             o.wepoch.(a) <- t.epoch_tick;
             (* the write-through patched the writer's cached value; the
                version it carries settles here *)
-            Cache.update_if_present ctx.pe.Pe.cache ~ver:o.next_ver ~addr:a
-              t.mem.(a)
+            Cache.update_if_present ctx.pe.Pe.cache ~mem:t.mem ~addr:a
+              ~ver:o.next_ver
         | None -> ());
         t.shadow.(a) <- t.mem.(a)
       done;
-      ctx.wn <- 0;
+      ctx.wlog.len <- 0;
       (match t.ora with
       | Some o ->
           merge o.settled ctx.staged;
@@ -1494,14 +1543,14 @@ let epoch_boundary t =
   if t.buffered then drain_buffered t;
   Array.iter
     (fun ctx ->
-      let leftovers = Hashtbl.length ctx.vget in
+      let leftovers = Line_table.length ctx.vget in
       ctx.pe.Pe.stats.Stats.pf_unused <-
         ctx.pe.Pe.stats.Stats.pf_unused + leftovers;
-      Hashtbl.reset ctx.vget;
-      Hashtbl.reset ctx.vstamp;
-      Queue.clear ctx.vq;
+      Line_table.clear ctx.vget;
+      ctx.vq_head <- 0;
+      ctx.vq_len <- 0;
       ctx.vget_words <- 0;
-      Hashtbl.reset ctx.fresh)
+      Line_table.clear ctx.fresh)
     t.ctxs;
   Hashtbl.iter
     (fun _ v ->

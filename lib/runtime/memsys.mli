@@ -162,9 +162,18 @@ val vget_issue :
     scheduled op x stale verdict), its HSCD version record — is resolved
     once by [prepare_read]/[prepare_write]. The per-access path is then
     pure arithmetic plus the protocol itself: no string hashing, no
-    owner/target variant boxing, no per-access table lookups. The timed
-    semantics are identical to {!read}/{!write}, which share the same
-    dispatch internally. *)
+    owner/target variant boxing, no per-access table lookups, and no
+    allocation in steady state. The timed semantics are identical to
+    {!read}/{!write}, which share the same dispatch internally.
+
+    Values move through the PE's data register ({!reg}) rather than as
+    arguments or results: a float crossing a call that is not inlined is
+    boxed, and across modules nothing is inlined. *)
+
+(** The PE's one-word data register: {!read_c} delivers the value it read
+    into slot 0, {!write_c} stores the value found there. Each PE has its
+    own, so shards (which own disjoint PEs) never share one. *)
+val reg : t -> pe:int -> float array
 
 type raccess
 
@@ -175,21 +184,29 @@ val prepare_read : t -> Ccdp_ir.Reference.t -> raccess
 val access_addr : t -> raccess -> pe:int -> idx:int array -> int
 
 (** Execute a prepared read at an address computed by {!access_addr} for
-    the same [pe] and [idx]. *)
-val read_c : t -> pe:int -> raccess -> idx:int array -> addr:int -> float
+    the same [pe] and [idx]; the value lands in [(reg t ~pe).(0)]. *)
+val read_c : t -> pe:int -> raccess -> idx:int array -> addr:int -> unit
 
 type waccess
 
 val prepare_write : t -> Ccdp_ir.Reference.t -> waccess
 val write_addr : t -> waccess -> pe:int -> idx:int array -> int
-val write_c : t -> pe:int -> waccess -> addr:int -> float -> unit
+
+(** Execute a prepared write of the value in [(reg t ~pe).(0)]. *)
+val write_c : t -> pe:int -> waccess -> addr:int -> unit
 
 (** Prepared twin of {!issue_line_prefetch}; [addr] from {!access_addr}. *)
-val pf_issue_c : ?skip_cached:bool -> t -> pe:int -> raccess -> addr:int -> unit
+val pf_issue_c : skip_cached:bool -> t -> pe:int -> raccess -> addr:int -> unit
 
-(** Prepared twin of {!vget_issue}. *)
-val vget_issue_c :
-  ?skip_cached:bool -> t -> pe:int -> raccess -> int array list -> unit
+(** Add one element address to the PE's pending vector get: from
+    {!access_addr} with the access the issue will name, which resolves
+    every member of the vector group. *)
+val vget_add : t -> pe:int -> addr:int -> unit
+
+(** Prepared twin of {!vget_issue}: issues the PE's pending vector get —
+    the addresses added since its last issue, in order — and empties
+    it. *)
+val vget_issue_c : skip_cached:bool -> t -> pe:int -> raccess -> unit
 
 (** Charge pure compute cycles to a PE. *)
 val charge : t -> pe:int -> int -> unit

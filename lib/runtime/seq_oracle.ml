@@ -79,49 +79,61 @@ let run cfg (program : Program.t) ?init () =
     done;
     if !inside then !addr else Addr_map.resolve_h a.h ~pe:0 idx
   in
-  (* No register memo: on one PE every copy the timed run keeps — memo,
+  (* Values move through a float stack, as in the timed engine: a float
+     returned from [eval_f] would be boxed on every read and operator.
+     No register memo: on one PE every copy the timed run keeps — memo,
      cache line, shadow — equals the memory word, since every store
      refreshes the register copies of its own and all enclosing scopes. *)
-  let rec eval_f (e : Xplan.fexpr) =
+  let stack = Array.make xp.Xplan.stack_depth 0.0 in
+  (* evaluate [e] into [stack.(d)] *)
+  let rec eval_f (e : Xplan.fexpr) d =
     match e with
-    | Xplan.XConst c -> c
+    | Xplan.XConst c -> stack.(d) <- c
     | Xplan.XIvar s ->
         if not ibound.(s) then unbound_var s;
-        float_of_int iframe.(s)
+        stack.(d) <- float_of_int iframe.(s)
     | Xplan.XSvar s ->
         if not fbound.(s) then unbound_scalar s;
-        fframe.(s)
-    | Xplan.XRead xr -> mem.(addr_of raccs xr)
-    | Xplan.XUnop (op, a) -> Fexpr.apply_unop op (eval_f a)
+        stack.(d) <- fframe.(s)
+    | Xplan.XRead xr -> stack.(d) <- mem.(addr_of raccs xr)
+    | Xplan.XUnop (op, a) ->
+        eval_f a d;
+        Fexpr.unop_at op stack d
     | Xplan.XBinop (op, a, b) ->
-        let x = eval_f a in
-        let y = eval_f b in
-        Fexpr.apply_binop op x y
+        eval_f a d;
+        eval_f b (d + 1);
+        Fexpr.binop_at op stack d
   in
   let eval_cond = function
     | Xplan.XIcond (op, a, b) -> Stmt.eval_cmp op (eval_aff a) (eval_aff b)
     | Xplan.XFcond (op, a, b) ->
-        let x = eval_f a in
-        let y = eval_f b in
-        Stmt.eval_fcmp op x y
+        eval_f a 0;
+        eval_f b 1;
+        Stmt.fcmp_at op stack 0
   in
   let rec exec_stmt (s : Xplan.stmt) =
     match s with
     | Xplan.XAssign { dst; src; _ } ->
-        let v = eval_f src in
-        mem.(addr_of waccs dst) <- v
+        eval_f src 0;
+        mem.(addr_of waccs dst) <- stack.(0)
     | Xplan.XSassign { slot; src; _ } ->
-        fframe.(slot) <- eval_f src;
+        eval_f src 0;
+        fframe.(slot) <- stack.(0);
         fbound.(slot) <- true
     | Xplan.XIf (c, tb, eb) ->
         if eval_cond c then Array.iter exec_stmt tb else Array.iter exec_stmt eb
     | Xplan.XFor l -> exec_loop l
     | Xplan.XCritical { xc_body; _ } -> Array.iter exec_stmt xc_body
     | Xplan.XReduce { slot; rop; src; _ } ->
-        let v = eval_f src in
-        if fbound.(slot) then fframe.(slot) <- Fexpr.apply_binop rop fframe.(slot) v
+        eval_f src 0;
+        if fbound.(slot) then begin
+          stack.(1) <- stack.(0);
+          stack.(0) <- fframe.(slot);
+          Fexpr.binop_at rop stack 0;
+          fframe.(slot) <- stack.(0)
+        end
         else begin
-          fframe.(slot) <- v;
+          fframe.(slot) <- stack.(0);
           fbound.(slot) <- true
         end
   and exec_loop (l : Xplan.loop) =

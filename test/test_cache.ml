@@ -41,10 +41,11 @@ let basic =
         check_true "line 0 kept" (Cache.read c ~addr:0 = Some 1.0));
     case "update_if_present patches only resident lines" (fun () ->
         let c = mk () in
-        Cache.update_if_present c ~addr:0 9.0;
+        let mem = Array.make 4 9.0 in
+        Cache.update_if_present c ~mem ~addr:0 ~ver:(-1);
         check_true "still miss" (Cache.read c ~addr:0 = None);
         ignore (Cache.fill c ~line:0 (payload 1.0));
-        Cache.update_if_present c ~addr:2 9.0;
+        Cache.update_if_present c ~mem ~addr:2 ~ver:(-1);
         check_true "patched" (Cache.read c ~addr:2 = Some 9.0);
         check_true "neighbours kept" (Cache.read c ~addr:1 = Some 1.0));
     case "invalidate_line removes exactly one line" (fun () ->
@@ -162,18 +163,25 @@ let fill_props =
         let c' = mk ~sets:model_sets ~assoc:model_assoc () in
         (* simulated memory: every word of line l holds float l *)
         let mem = Array.init (12 * 4) (fun i -> float_of_int (i / 4)) in
+        let word = [| 0.0 |] in
         List.for_all
           (fun (is_fill, line) ->
             if is_fill then begin
               ignore (Cache.fill c ~line (payload (float_of_int line)));
-              Cache.fill_from c' ~vers:[||] ~line ~src:mem ~pos:(line * 4) ();
+              Cache.fill_from c' ~tick:0 ~state:1 ~vers:[||] ~line ~src:mem ~pos:(line * 4);
               true
             end
             else begin
               let addr = (line * 4) + (line mod 4) in
               let r = Cache.read c ~addr in
               let off = Cache.locate c' ~addr in
-              let r' = if off < 0 then None else Some (Cache.data_at c' off) in
+              let r' =
+                if off < 0 then None
+                else begin
+                  Cache.data_at c' off word 0;
+                  Some word.(0)
+                end
+              in
               r = r'
             end)
           ops

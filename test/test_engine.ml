@@ -8,12 +8,13 @@
    cycles, access statistics, per-PE clocks, epoch count and profile, and
    the final shared-memory image must all be identical (tolerance 0).
 
-   The point of the compiled plans is the hot path allocating no
-   per-iteration environments or register-memo hashtables, so the last
-   group is a Gc regression gate on MXM/CCDP: the compiled engine must
-   stay under half the reference engine's minor-heap words (it measures
-   ~1/3; the pre-refactor ratio was 1) and within 26 minor words per
-   simulated access (it measures ~25.3). *)
+   The point of the compiled plans is a hot path that allocates nothing
+   per access, so the last group is a Gc regression gate on MXM n=32 at
+   8 PEs: the compiled engine must stay under half the reference
+   engine's minor-heap words, within 26 minor words per simulated access
+   on CCDP and within 3 in every mode (each measures under 1: what
+   remains is per-run set-up), and the sequential verification of a run
+   within half a word per access it verifies. *)
 
 open Ccdp_test_support.Tutil
 module Memsys = Ccdp_runtime.Memsys
@@ -195,11 +196,16 @@ let minor_words_of f =
   ignore (f ());
   Gc.minor_words () -. m0
 
+let accesses_of (r : Interp.result) =
+  let s = r.Interp.stats in
+  s.Ccdp_machine.Stats.reads + s.Ccdp_machine.Stats.writes
+
 let alloc_cases =
-  let mxm_ccdp () =
+  let mxm mode =
     let w = Ccdp_workloads.Mxm.workload ~n:32 in
-    Pipeline.for_mode ~n_pes:8 Memsys.Ccdp w.Workload.program
+    Pipeline.for_mode ~n_pes:8 mode w.Workload.program
   in
+  let mxm_ccdp () = mxm Memsys.Ccdp in
   [
     case "compiled engine allocates < 50% of the reference (MXM/ccdp)"
       (fun () ->
@@ -223,13 +229,39 @@ let alloc_cases =
         let { Pipeline.cfg; program = prog; plan; _ } = mxm_ccdp () in
         let run () = Interp.run cfg prog ~plan ~mode:Memsys.Ccdp () in
         let mw = minor_words_of run in
-        let s = (run ()).Interp.stats in
-        let accesses = s.Ccdp_machine.Stats.reads + s.Ccdp_machine.Stats.writes in
+        let accesses = accesses_of (run ()) in
         let per = mw /. float_of_int accesses in
         check_true
           (Printf.sprintf "%.0f words / %d accesses = %.2f <= 26" mw accesses
              per)
           (per <= 26.0));
+    case "every mode stays within 3 words per access (MXM)" (fun () ->
+        List.iter
+          (fun mode ->
+            let { Pipeline.cfg; program = prog; plan; _ } = mxm mode in
+            let run () = Interp.run cfg prog ~plan ~mode () in
+            let mw = minor_words_of run in
+            let accesses = accesses_of (run ()) in
+            let per = mw /. float_of_int accesses in
+            check_true
+              (Printf.sprintf "%s: %.0f words / %d accesses = %.2f <= 3"
+                 (Memsys.mode_name mode) mw accesses per)
+              (per <= 3.0))
+          modes);
+    case "verification stays within 0.5 words per verified access (MXM/ccdp)"
+      (fun () ->
+        let { Pipeline.cfg; program = prog; plan; _ } = mxm_ccdp () in
+        let r = Interp.run cfg prog ~plan ~mode:Memsys.Ccdp () in
+        let mw =
+          minor_words_of (fun () ->
+              Ccdp_runtime.Verify.against_sequential prog ~init:ignore r)
+        in
+        let accesses = accesses_of r in
+        let per = mw /. float_of_int accesses in
+        check_true
+          (Printf.sprintf "%.0f words / %d verified accesses = %.2f <= 0.5" mw
+             accesses per)
+          (per <= 0.5));
   ]
 
 let () =

@@ -120,6 +120,94 @@ let annex_tests =
         ignore (Dtb_annex.touch a 1);
         Dtb_annex.clear a;
         check_false "miss after clear" (Dtb_annex.touch a 1));
+    qcheck "the array annex agrees with a list LRU at 0, 1 and 32 entries"
+      QCheck.(list_of_size (Gen.int_range 0 200) (int_range 0 47))
+      (fun touches ->
+        List.for_all
+          (fun entries ->
+            (* the list LRU the annex used to be: most recent first *)
+            let lru = ref [] in
+            let list_touch pe =
+              let hit = List.mem pe !lru in
+              let l = pe :: List.filter (fun p -> p <> pe) !lru in
+              lru := List.filteri (fun i _ -> i < entries) l;
+              hit
+            in
+            let a = Dtb_annex.create ~entries in
+            List.for_all
+              (fun pe ->
+                let hit = Dtb_annex.touch a pe in
+                hit = list_touch pe && Dtb_annex.resident a = !lru)
+              touches)
+          [ 0; 1; 32 ]);
+    case "a zero-entry annex validates and misses every remote touch (MXM/ccdp)"
+      (fun () ->
+        let machine ~n_pes =
+          { (Config.t3d ~n_pes) with Config.annex_entries = 0 }
+        in
+        check_true "valid" (Config.validate (machine ~n_pes:4) = []);
+        let w = Ccdp_workloads.Mxm.workload ~n:16 in
+        let mode = Ccdp_runtime.Memsys.Ccdp in
+        let { Ccdp_core.Pipeline.cfg; program; plan; _ } =
+          Ccdp_core.Pipeline.for_mode ~machine ~n_pes:4 mode
+            w.Ccdp_workloads.Workload.program
+        in
+        let r = Ccdp_runtime.Interp.run cfg program ~plan ~mode () in
+        let v = Ccdp_runtime.Verify.against_sequential program ~init:ignore r in
+        let s = r.Ccdp_runtime.Interp.stats in
+        check_true "verifies" v.Ccdp_runtime.Verify.ok;
+        check_int "no annex hits" 0 s.Stats.annex_hits;
+        check_true "remote touches pay the set-up" (s.Stats.annex_misses > 0));
+  ]
+
+(* random operations on keys that collide often, and a table created
+   small enough to grow *)
+type op = Replace of int * int * int | Remove of int | Find of int | Clear
+
+let op_gen =
+  QCheck.Gen.(
+    let key = int_range 0 40 in
+    frequency
+      [
+        (5, map3 (fun k a b -> Replace (k, a, b)) key small_nat small_nat);
+        (3, map (fun k -> Remove k) key);
+        (3, map (fun k -> Find k) key);
+        (1, return Clear);
+      ])
+
+let line_table_tests =
+  [
+    qcheck "the line table agrees with a Hashtbl on replace/remove/mem/find/clear"
+      (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 0 300) op_gen))
+      (fun ops ->
+        let t = Line_table.create 1 and h = Hashtbl.create 8 in
+        List.for_all
+          (fun op ->
+            (match op with
+            | Replace (k, a, b) ->
+                Line_table.replace t k ~v1:a ~v2:b;
+                Hashtbl.replace h k (a, b)
+            | Remove k ->
+                Line_table.remove t k;
+                Hashtbl.remove h k
+            | Find _ -> ()
+            | Clear ->
+                Line_table.clear t;
+                Hashtbl.reset h);
+            let agrees k =
+              let s = Line_table.find t k in
+              let got =
+                if s < 0 then None
+                else Some (Line_table.v1 t s, Line_table.v2 t s)
+              in
+              got = Hashtbl.find_opt h k && Line_table.mem t k = Hashtbl.mem h k
+            in
+            Line_table.length t = Hashtbl.length h
+            && (match op with
+               | Replace (k, _, _) | Remove k | Find k -> agrees k
+               | Clear -> true)
+            && List.for_all agrees (List.init 41 Fun.id))
+          ops);
   ]
 
 let stats_tests =
@@ -142,10 +230,14 @@ let stats_tests =
   ]
 
 let () =
+  (* Alcotest fits each test name to the width the longest group name
+     leaves, so a group name past 7 characters would print every existing
+     case name in this file cut shorter *)
   Alcotest.run "machine"
     [
       ("config", config_tests);
       ("machine", machine_tests);
       ("annex", annex_tests);
+      ("lines", line_table_tests);
       ("stats", stats_tests);
     ]

@@ -6,10 +6,10 @@ let tests =
     case "insert then find then remove" (fun () ->
         let q = Prefetch_queue.create ~capacity:16 in
         check_true "in" (Prefetch_queue.try_insert q ~line:3 ~words:4 ~ready:100);
-        check_true "found" (Prefetch_queue.find q ~line:3 = Some 100);
+        check_true "found" (Prefetch_queue.find q ~line:3 = 100);
         check_int "occ" 4 (Prefetch_queue.occupancy q);
         Prefetch_queue.remove q ~line:3;
-        check_true "gone" (Prefetch_queue.find q ~line:3 = None);
+        check_true "gone" (Prefetch_queue.find q ~line:3 = -1);
         check_int "occ0" 0 (Prefetch_queue.occupancy q));
     case "overflow drops the insert" (fun () ->
         let q = Prefetch_queue.create ~capacity:8 in
@@ -21,7 +21,7 @@ let tests =
         let q = Prefetch_queue.create ~capacity:8 in
         check_true "first" (Prefetch_queue.try_insert q ~line:0 ~words:4 ~ready:10);
         check_true "dedup" (Prefetch_queue.try_insert q ~line:0 ~words:4 ~ready:99);
-        check_true "keeps first arrival" (Prefetch_queue.find q ~line:0 = Some 10);
+        check_true "keeps first arrival" (Prefetch_queue.find q ~line:0 = 10);
         check_int "occ once" 4 (Prefetch_queue.occupancy q));
     case "clear reports the number of dropped entries" (fun () ->
         let q = Prefetch_queue.create ~capacity:16 in
@@ -50,7 +50,7 @@ let edge =
         ignore (Prefetch_queue.try_insert q ~line:1 ~words:4 ~ready:1);
         Prefetch_queue.remove q ~line:42;
         check_int "occ untouched" 4 (Prefetch_queue.occupancy q);
-        check_true "original still pending" (Prefetch_queue.find q ~line:1 = Some 1));
+        check_true "original still pending" (Prefetch_queue.find q ~line:1 = 1));
     case "an insert that exactly fills the queue is accepted" (fun () ->
         let q = Prefetch_queue.create ~capacity:8 in
         check_true "a" (Prefetch_queue.try_insert q ~line:0 ~words:4 ~ready:1);
@@ -66,12 +66,12 @@ let edge =
         check_true "coalesced despite full queue"
           (Prefetch_queue.try_insert q ~line:1 ~words:4 ~ready:99);
         check_int "no double-count" 8 (Prefetch_queue.occupancy q);
-        check_true "first arrival kept" (Prefetch_queue.find q ~line:1 = Some 2));
+        check_true "first arrival kept" (Prefetch_queue.find q ~line:1 = 2));
     case "a dropped insert leaves no trace" (fun () ->
         let q = Prefetch_queue.create ~capacity:4 in
         ignore (Prefetch_queue.try_insert q ~line:0 ~words:4 ~ready:1);
         check_false "dropped" (Prefetch_queue.try_insert q ~line:7 ~words:4 ~ready:2);
-        check_true "not findable" (Prefetch_queue.find q ~line:7 = None);
+        check_true "not findable" (Prefetch_queue.find q ~line:7 = -1);
         Prefetch_queue.remove q ~line:0;
         check_true "room again after consumption"
           (Prefetch_queue.try_insert q ~line:7 ~words:4 ~ready:3));
@@ -79,7 +79,7 @@ let edge =
         let q = Prefetch_queue.create ~capacity:0 in
         check_true "vacuous fit" (Prefetch_queue.try_insert q ~line:0 ~words:0 ~ready:1);
         check_int "occ" 0 (Prefetch_queue.occupancy q);
-        check_true "pending" (Prefetch_queue.find q ~line:0 = Some 1));
+        check_true "pending" (Prefetch_queue.find q ~line:0 = 1));
     case "removing from the middle preserves the order of the rest" (fun () ->
         let q = Prefetch_queue.create ~capacity:16 in
         ignore (Prefetch_queue.try_insert q ~line:1 ~words:4 ~ready:1);
