@@ -24,7 +24,8 @@
      dune exec bench/main.exe -- rivals       -- hardware-coherence rivals
      dune exec bench/main.exe -- rivals --quick -- reduced sizes (CI smoke)
      dune exec bench/main.exe -- all --full   -- paper-shaped sizes (slow)
-     dune exec bench/main.exe -- table1 -j 8  -- eight worker domains *)
+     dune exec bench/main.exe -- table1 -j 8  -- eight worker domains
+   Any other argument prints the usage line and exits 2. *)
 
 open Ccdp_workloads
 open Ccdp_core
@@ -226,14 +227,6 @@ let oracle_overhead sizes =
 
 (* ---- engine wall-clock throughput ---------------------------------- *)
 
-(* Minor words allocated by every domain so far: Gc.minor_words counts the
-   calling domain only, which would miss what a sharded run's worker
-   domains allocate; after a minor collection Gc.quick_stat holds the
-   program-wide total. *)
-let all_minor_words () =
-  Gc.minor ();
-  (Gc.quick_stat ()).Gc.minor_words
-
 (* Host-time throughput of the compiled-plan engine (Interp) across the
    paper's four workloads and every coherence mode, plus the reference
    tree-walking engine (Interp_ref) on the CCDP rows so the speedup of
@@ -255,11 +248,11 @@ let perf sizes ~quick jobs =
   (* [warm]: first run pays lowering/page-in noise *)
   let time_run ?(warm = true) f =
     if warm then ignore (f ());
-    let m0 = all_minor_words () in
+    let m0 = Ccdp_exec.Pool.all_minor_words () in
     let t0 = Unix.gettimeofday () in
     let r = f () in
     let wall = Unix.gettimeofday () -. t0 in
-    (r, wall, all_minor_words () -. m0)
+    (r, wall, Ccdp_exec.Pool.all_minor_words () -. m0)
   in
   (* one timed cell as a BENCH_perf.json row *)
   let perf_row ?(jobs = 1) ~workload ~mode ~pes ~engine ~wall ~cycles
@@ -500,14 +493,36 @@ let parse_machine args =
   | _ -> ());
   (machine, rest)
 
+let studies =
+  [ "table1"; "table2"; "ablate"; "sweep"; "micro"; "oracle"; "perf";
+    "machines"; "rivals" ]
+
+(* Anything left after -j and --machine must name a study or a size flag:
+   a typo would otherwise run the whole suite. *)
+let reject_unknown args =
+  match
+    List.filter
+      (fun a -> not (List.mem a ("all" :: "--full" :: "--quick" :: studies)))
+      args
+  with
+  | [] -> ()
+  | bad ->
+      Printf.eprintf
+        "unknown argument: %s\nusage: main.exe [all|%s]... [--full] \
+         [--quick] [--machine NAME] [-j N]\n"
+        (String.concat " " bad)
+        (String.concat "|" studies);
+      exit 2
+
 let () =
   let jobs, args = parse_jobs (List.tl (Array.to_list Sys.argv)) in
   let machine, args = parse_machine args in
+  reject_unknown args;
   let full = List.mem "--full" args in
   let sizes = if full then full_sizes else default_sizes in
   let quick = List.mem "--quick" args in
   let has cmd = List.mem cmd args in
-  let all = has "all" || not (has "table1" || has "table2" || has "ablate" || has "sweep" || has "micro" || has "oracle" || has "perf" || has "machines" || has "rivals") in
+  let all = has "all" || not (List.exists has studies) in
   if all || has "table1" || has "table2" then tables sizes jobs;
   if all then extras_table sizes jobs;
   if all || has "ablate" then ablations sizes jobs;

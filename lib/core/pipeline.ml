@@ -25,6 +25,35 @@ type setup = {
   compiled : t option;
 }
 
+(* Phase 3, prefetch scheduling, over a front end's facts: the only phase
+   the tuning reaches, and the one scheduling step [compile] ends in and
+   [reschedule] repeats. *)
+let scheduled ~tuning ~program ~epochs ~infos ~region ~stale ~target ~cfg
+    ~prefetch_clean ~cluster_pes =
+  let plan, decisions = Schedule.analyze region cfg ~tuning infos stale target in
+  {
+    program;
+    epochs;
+    infos;
+    region;
+    stale;
+    target;
+    plan;
+    decisions;
+    cfg;
+    tuning;
+    prefetch_clean;
+    cluster_pes;
+  }
+
+let reschedule ?(tuning = Schedule.default_tuning) (t : t) =
+  let { program; epochs; infos; region; stale; target; cfg; prefetch_clean;
+        cluster_pes; _ } =
+    t
+  in
+  scheduled ~tuning ~program ~epochs ~infos ~region ~stale ~target ~cfg
+    ~prefetch_clean ~cluster_pes
+
 let compile cfg ?(tuning = Schedule.default_tuning) ?innermost_only
     ?group_spatial ?(prefetch_clean = false) ?(cluster_coherent = false)
     ?(mutate_stale = fun s -> s) program =
@@ -48,21 +77,8 @@ let compile cfg ?(tuning = Schedule.default_tuning) ?innermost_only
     Target.analyze ?innermost_only ?group_spatial ~prefetch_clean region cfg
       infos stale
   in
-  let plan, decisions = Schedule.analyze region cfg ~tuning infos stale target in
-  {
-    program;
-    epochs;
-    infos;
-    region;
-    stale;
-    target;
-    plan;
-    decisions;
-    cfg;
-    tuning;
-    prefetch_clean;
-    cluster_pes;
-  }
+  scheduled ~tuning ~program ~epochs ~infos ~region ~stale ~target ~cfg
+    ~prefetch_clean ~cluster_pes
 
 let for_mode ?tuning ?innermost_only ?group_spatial ?prefetch_clean
     ?mutate_stale ?(machine = Ccdp_machine.Config.t3d) ~n_pes mode program =

@@ -57,6 +57,14 @@ val compile :
   Ccdp_ir.Program.t ->
   t
 
+(** [reschedule ~tuning t] runs prefetch scheduling again over [t]'s front
+    end (inlining, epochs, stale and target analysis), the one phase that
+    reads [tuning] (default {!Ccdp_analysis.Schedule.default_tuning}): it
+    returns [t] with the new [plan], [decisions] and [tuning] and equals
+    [compile ~tuning] with [t]'s other arguments. {!compile} ends in this
+    same step. *)
+val reschedule : ?tuning:Ccdp_analysis.Schedule.tuning -> t -> t
+
 (** The set-up rule every comparison of coherence schemes runs under.
     [Seq] runs on a one-PE [machine] whatever [n_pes] says; [Ccdp] runs
     the {!compile} with [tuning], [innermost_only], [group_spatial],

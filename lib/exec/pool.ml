@@ -181,3 +181,7 @@ let map_shards pool ~shards f =
   end
 
 let run ?jobs ?label f xs = with_pool ?jobs (fun p -> map_runs ?label p f xs)
+
+let all_minor_words () =
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.minor_words

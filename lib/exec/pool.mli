@@ -65,3 +65,10 @@ val map_shards : t -> shards:int -> (int -> 'a) -> 'a array
 (** One-shot convenience: [run ?jobs f xs] wraps [with_pool] around
     {!map_runs}. *)
 val run : ?jobs:int -> ?label:(int -> string) -> (int -> 'a -> 'b) -> 'a list -> 'b list
+
+(** Minor-heap words allocated so far by every domain. [Gc.minor_words]
+    counts the calling domain only, so it misses what a pool's worker
+    domains allocate; after the minor collection this forces,
+    [Gc.quick_stat] holds the program-wide total. Call it outside a timed
+    interval: the collection costs time. *)
+val all_minor_words : unit -> float

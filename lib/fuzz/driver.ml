@@ -95,15 +95,35 @@ let drop_stale_mark k (r : Stale.result) =
       Hashtbl.replace verdicts victim Stale.Clean;
       { r with Stale.verdicts; n_stale = r.Stale.n_stale - 1 }
 
-let run_variant ?mutate_stale ?pool (d : Gen.desc) program v =
-  let s =
-    Pipeline.for_mode ~tuning:v.tuning ~prefetch_clean:d.Gen.pclean
-      ?mutate_stale ~machine:(machine_for d v.mode) ~n_pes:d.Gen.n_pes v.mode
-      program
+(* Each description is set up once per distinct compile. Only prefetch
+   scheduling reads the VPG/SP/MBP switches, so the CCDP variants
+   reschedule one flat front end; the clustered compile differs from that
+   flat one only when its islands are wider than one PE (the generated
+   machines are flat); and BASE and the hardware rivals share one
+   plan-free set-up. Returns the CCDP/all compile and a function from a
+   variant to its set-up, which reschedules or compiles only when that
+   variant runs. *)
+let setups ?mutate_stale (d : Gen.desc) program =
+  let for_mode mode =
+    Pipeline.for_mode ~prefetch_clean:d.Gen.pclean ?mutate_stale
+      ~machine:(machine_for d mode) ~n_pes:d.Gen.n_pes mode program
   in
-  Interp.run s.cfg ~oracle:true ?pool s.program ~plan:s.plan ~mode:v.mode ()
+  let flat = for_mode Memsys.Ccdp and plan_free = for_mode Memsys.Base in
+  let compiled = Option.get flat.compiled in
+  let setup v =
+    match v.mode with
+    | Memsys.Ccdp when v.tuning = compiled.tuning -> flat
+    | Memsys.Ccdp ->
+        let c = Pipeline.reschedule ~tuning:v.tuning compiled in
+        { flat with plan = c.plan; compiled = Some c }
+    | Memsys.Clustered ->
+        let islands = machine_for d v.mode ~n_pes:d.Gen.n_pes in
+        if islands.Config.cluster_pes > 1 then for_mode v.mode else flat
+    | _ -> plan_free
+  in
+  (compiled, setup)
 
-(* The static leg of the differential: certify the default-tuning compile
+(* The static leg of the differential: certify the CCDP/all compile
    with the coherence verifier. [st_caught]/[st_escape] record whether an
    injected stale-analysis fault actually changed the stale set and whether
    the certifier flagged it; [st_failure] is the reportable finding when
@@ -131,21 +151,21 @@ let discharged (plan : Annot.plan) id =
       | _, _ -> false)
   | Annot.Normal -> false
 
-let static_certify ?mutate_stale cfg (d : Gen.desc) program =
-  let base = Pipeline.compile cfg ~prefetch_clean:d.Gen.pclean program in
-  let compiled, victims =
+let static_certify ?mutate_stale (d : Gen.desc) program
+    (compiled : Pipeline.t) =
+  (* the victims are the reads the fault dropped from the stale set of
+     the same compile without it *)
+  let victims =
     match mutate_stale with
-    | None -> (base, [])
-    | Some f ->
-        let before = List.sort compare (Stale.stale_ids base.Pipeline.stale) in
-        let after =
-          List.sort compare (Stale.stale_ids (f base.Pipeline.stale))
+    | None -> []
+    | Some _ ->
+        let base =
+          Pipeline.compile compiled.cfg ~prefetch_clean:d.Gen.pclean program
         in
-        let t =
-          Pipeline.compile cfg ~prefetch_clean:d.Gen.pclean ?mutate_stale
-            program
-        in
-        (t, List.filter (fun id -> not (List.mem id after)) before)
+        let after = Stale.stale_ids compiled.stale in
+        List.filter
+          (fun id -> not (List.mem id after))
+          (Stale.stale_ids base.stale)
   in
   let errors = Check.errors (Check.certify compiled) in
   (* the fault is dangerous only when some victim read's obligation is no
@@ -189,16 +209,21 @@ let static_certify ?mutate_stale cfg (d : Gen.desc) program =
    returns (variant runs, oracle assertions, static leg, first dynamic
    failure). The oracle is consulted before the numeric comparison: a stale
    hit whose value happens to coincide with the fresh one is still a
-   bug. *)
+   bug. The static leg certifies the CCDP/all compile the dynamic legs
+   ran. *)
 let check_full ?mutate_stale ?pool (d : Gen.desc) =
-  let cfg = cfg_of d in
   let program = Gen.build d in
-  let seq = Seq_oracle.run cfg program () in
+  let seq = Seq_oracle.run (cfg_of d) program () in
+  let compiled, setup = setups ?mutate_stale d program in
   let runs = ref 0 and checks = ref 0 in
   let rec loop = function
     | [] -> None
     | v :: rest -> (
-        let r = run_variant ?mutate_stale ?pool d program v in
+        let s = setup v in
+        let r =
+          Interp.run s.cfg ~oracle:true ?pool s.program ~plan:s.plan
+            ~mode:v.mode ()
+        in
         incr runs;
         checks := !checks + Memsys.oracle_checked r.Interp.sys;
         let nviol = Memsys.oracle_violation_count r.Interp.sys in
@@ -219,7 +244,7 @@ let check_full ?mutate_stale ?pool (d : Gen.desc) =
           else loop rest)
   in
   let failure = loop variants in
-  let static = static_certify ?mutate_stale cfg d program in
+  let static = static_certify ?mutate_stale d program compiled in
   (!runs, !checks, static, failure)
 
 (* Dynamic failures take reporting precedence — they carry runtime

@@ -1,8 +1,9 @@
 (** The differential soundness campaign.
 
-    Every generated program is compiled and executed under BASE plus the
-    CCDP scheduling variants (all techniques, VPG-only, SP-only, MBP-only),
-    each with the dynamic staleness oracle armed, and checked three ways:
+    Every generated program is executed under the nine {!variant_names}
+    (BASE, the four CCDP scheduling variants, the three hardware rivals and
+    the clustered islands mode), each with the dynamic staleness oracle
+    armed, and checked three ways:
 
     - {b numerics}: final shared-array contents must equal the sequential
       execution bit-for-bit ({!Ccdp_runtime.Verify.compare_states});
@@ -10,10 +11,17 @@
       return a word older than the last pre-epoch write, even when the
       stale value numerically coincides with the fresh one;
     - {b static}: the coherence certifier ({!Ccdp_check.Check.certify})
-      over the default-tuning compile must agree with the other two legs —
+      over the CCDP/all compile the runs used must agree with the other
+      two legs —
       clean programs certify clean, and an injected stale-analysis fault
       that actually changes the stale set must raise an error-severity
       diagnostic {e without executing anything}.
+
+    Each program is set up once per distinct compile: one front end
+    (stale and target analysis) that the VPG-, SP- and MBP-only tunings
+    reschedule ({!Ccdp_core.Pipeline.reschedule}), a second, clustered,
+    front end only when the re-islanded machine's islands are wider than
+    one PE, and one plan-free set-up for BASE and the hardware rivals.
 
     A failure is shrunk to a one-step-minimal description
     ({!Shrink.minimize}, candidates re-validated) and optionally dumped as
@@ -57,8 +65,11 @@ type summary = {
 
 (** Names of the execution variants, in run order:
     ["BASE"; "CCDP/all"; "CCDP/vpg"; "CCDP/sp"; "CCDP/mbp"; "MSI"; "MESI";
-    "DIR"] — the last three are the hardware-coherence rivals, run
-    plan-free with the protocol carrying the whole coherence obligation. *)
+    "DIR"; "CLU"]. MSI, MESI and DIR are the hardware-coherence rivals,
+    run plan-free with the protocol carrying the whole coherence
+    obligation; CLU runs hardware-coherent islands under a cluster-aware
+    CCDP plan on the generated machine re-islanded into two islands of
+    [n_pes / 2] PEs (one-PE islands when [n_pes] is odd). *)
 val variant_names : string list
 
 (** Fault injection for self-tests: return a copy of the stale-analysis

@@ -60,22 +60,26 @@ module Dir = struct
     done;
     !c
 
-  (* Visit sharers in ascending PE order — the deterministic invalidation
-     order both engines replay identically. *)
-  let iter_sharers t ~line f =
-    let base = line * t.bwords in
-    for w = 0 to t.bwords - 1 do
-      let bits = t.presence.(base + w) in
-      if bits <> 0 then
-        for b = 0 to 62 do
-          if bits land (1 lsl b) <> 0 then f ((w * 63) + b)
-        done
-    done
+  (* The lowest sharer at or above [from], or -1: walking it upward gives
+     the ascending PE order — the deterministic invalidation order both
+     engines replay identically — without a closure. *)
+  let next_sharer t ~line ~from =
+    let base = line * t.bwords and found = ref (-1) and pe = ref from in
+    while !found < 0 && !pe < t.bwords * 63 do
+      let bits = t.presence.(base + (!pe / 63)) lsr (!pe mod 63) in
+      if bits = 0 then pe := (!pe / 63 * 63) + 63
+      else if bits land 1 <> 0 then found := !pe
+      else incr pe
+    done;
+    !found
 
   let sharers t ~line =
-    let acc = ref [] in
-    iter_sharers t ~line (fun pe -> acc := pe :: !acc);
-    List.rev !acc
+    let rec from pe =
+      match next_sharer t ~line ~from:pe with
+      | -1 -> []
+      | p -> p :: from (p + 1)
+    in
+    from 0
 
   let clear_line t ~line =
     Array.fill t.presence (line * t.bwords) t.bwords 0;

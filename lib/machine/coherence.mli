@@ -42,9 +42,10 @@ module Dir : sig
   val remove : t -> line:int -> pe:int -> unit
   val sharer_count : t -> line:int -> int
 
-  (** Visit sharers in ascending PE order (the deterministic invalidation
-      order). *)
-  val iter_sharers : t -> line:int -> (int -> unit) -> unit
+  (** The lowest PE at or above [from] holding a copy of [line], or -1
+      when none does. Stepping [from] past each result visits the sharers
+      in ascending PE order (the deterministic invalidation order). *)
+  val next_sharer : t -> line:int -> from:int -> int
 
   (** Sharer list in ascending PE order (tests/introspection). *)
   val sharers : t -> line:int -> int list

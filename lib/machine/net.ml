@@ -176,14 +176,15 @@ let acquire t ~dst ~now ~hold =
   if now >= busy then begin
     t.link_busy.(dst) <- now + hold;
     t.link_depth.(dst) <- 1;
-    (0, 1)
+    0
   end
   else begin
-    let depth = t.link_depth.(dst) + 1 in
-    t.link_depth.(dst) <- depth;
+    t.link_depth.(dst) <- t.link_depth.(dst) + 1;
     t.link_busy.(dst) <- busy + hold;
-    (busy - now, depth)
+    busy - now
   end
+
+let link_depth t ~dst = t.link_depth.(dst)
 
 (* Bus [n_clusters], after the islands' buses. *)
 let machine_bus t = n_clusters t
@@ -204,12 +205,14 @@ let machine_bus t = n_clusters t
    holds); the backlog — and with it snooping's scaling wall — grows with
    every PE sharing the bus. Buses are independent, so one island's storm
    never delays another's. Deterministic and replay-order independent
-   enough: both engines book the identical global sequence. Returns
-   (delay, transactions queued ahead, including this one). *)
+   enough: both engines book the identical global sequence. Returns the
+   delay; [bus_depth] turns it into the transactions queued ahead. *)
 let acquire_bus t ~bus ~now ~since ~hold =
   let backlog = t.bus_demand.(bus) - (now - since) in
   t.bus_demand.(bus) <- t.bus_demand.(bus) + hold;
-  if backlog > 0 then (backlog, (backlog / hold) + 1) else (0, 1)
+  if backlog > 0 then backlog else 0
+
+let bus_depth ~delay ~hold = (delay / hold) + 1
 
 let reset_links t =
   Array.fill t.link_busy 0 t.n_pes 0;

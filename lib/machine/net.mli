@@ -71,11 +71,14 @@ val same_cluster : t -> int -> int -> bool
 val cost : t -> src:int -> dst:int -> int
 
 (** [acquire t ~dst ~now ~hold] books [hold] cycles of the bottleneck link
-    into PE [dst] starting at cycle [now] and returns
-    [(queueing_delay, burst_depth)]: the delay until the link is free, and
-    how many transfers (including this one) the current busy burst holds.
-    Deterministic — link state is a pure function of the acquire sequence. *)
-val acquire : t -> dst:int -> now:int -> hold:int -> int * int
+    into PE [dst] starting at cycle [now] and returns the queueing delay
+    until the link is free. Deterministic — link state is a pure function
+    of the acquire sequence. *)
+val acquire : t -> dst:int -> now:int -> hold:int -> int
+
+(** How many transfers (including the last one booked) the current busy
+    burst of the link into PE [dst] holds. *)
+val link_depth : t -> dst:int -> int
 
 (** The snoop bus shared by the whole machine (the MSI/MESI bus); buses
     [0 .. n_clusters - 1] are the islands' local buses. *)
@@ -84,14 +87,19 @@ val machine_bus : t -> int
 (** [acquire_bus t ~bus ~now ~since ~hold] books [hold] cycles of snoop
     bus [bus] (an island's {!cluster_of} index, or {!machine_bus}) for a
     transaction happening at local cycle [now] on a PE whose current
-    epoch began at cycle [since] (the post-barrier clock). Returns
-    [(queueing_delay, backlog_depth)]. Each bus is a throughput
+    epoch began at cycle [since] (the post-barrier clock). Returns the
+    queueing delay. Each bus is a throughput
     bottleneck — accumulated service demand since the last barrier versus
     the requester's elapsed epoch time — rather than a next-free-cycle
     port, because epochs are replayed PE-major on private clocks (see the
     implementation comment). Buses book independently, so one island's
     coherence storm never delays another's. Deterministic. *)
-val acquire_bus : t -> bus:int -> now:int -> since:int -> hold:int -> int * int
+val acquire_bus : t -> bus:int -> now:int -> since:int -> hold:int -> int
+
+(** The backlog depth of a bus booking that {!acquire_bus} delayed by
+    [delay] for a [hold]-cycle transaction: how many transactions
+    (including this one) are queued on the bus. *)
+val bus_depth : delay:int -> hold:int -> int
 
 (** Forget all link (and bus) bookings (barriers drain the network). *)
 val reset_links : t -> unit

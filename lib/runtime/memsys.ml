@@ -473,13 +473,13 @@ let contend t ctx tgt ~now ~lines =
     || Net.same_cluster t.net ctx.pe.Pe.id tgt
   then 0
   else begin
-    let delay, depth =
-      Net.acquire t.net ~dst:tgt ~now
-        ~hold:(t.cfg.Config.link_occ * lines)
+    let delay =
+      Net.acquire t.net ~dst:tgt ~now ~hold:(t.cfg.Config.link_occ * lines)
     in
     let s = ctx.pe.Pe.stats in
     if delay > 0 then
       s.Stats.link_conflicts <- s.Stats.link_conflicts + 1;
+    let depth = Net.link_depth t.net ~dst:tgt in
     if depth > s.Stats.link_occ_max then s.Stats.link_occ_max <- depth;
     delay
   end
@@ -498,7 +498,7 @@ let store_cost t ~pe tgt =
 let bus_acquire t ctx ~bus ~lines =
   if t.cfg.Config.bus_occ = 0 then 0
   else begin
-    let delay, _depth =
+    let delay =
       Net.acquire_bus t.net ~bus ~now:ctx.pe.Pe.clock ~since:ctx.epoch_start
         ~hold:(t.cfg.Config.bus_occ * lines)
     in
@@ -854,13 +854,16 @@ let hscd_read ver t ctx (r : Reference.t) idx addr tgt =
    [lo, hi) — the whole machine under MSI/MESI, one island under the
    clustered mode. A read transaction ([invalidate = false]) downgrades
    E/M holders to S — a Modified holder first flushes, and the requester
-   pays that flush. A write/upgrade transaction invalidates every copy it
-   finds. Returns (copies found, write-back penalty). [drop] (armed by
-   sabotage) lets the first copy an invalidation should kill survive —
-   with identical accounting, which is exactly why only the staleness
-   oracle (or the numerics) can witness the fault. *)
-let snoop t ~lo ~hi ~self ~line ~invalidate ~drop =
-  let copies = ref 0 and wb = ref 0 in
+   pays that flush: the snoop advances the requester's clock by it, so a
+   caller books every clock-timed resource (bus, link) before snooping.
+   A write/upgrade transaction invalidates every copy it finds. Returns
+   the copies found. [drop] (armed by sabotage) lets the first copy an
+   invalidation should kill survive — with identical accounting, which is
+   exactly why only the staleness oracle (or the numerics) can witness the
+   fault. *)
+let snoop t ctx ~lo ~hi ~line ~invalidate ~drop =
+  let self = ctx.pe.Pe.id in
+  let copies = ref 0 and flushed = ref false in
   let drop = ref drop in
   for p = lo to hi - 1 do
     if p <> self then begin
@@ -868,7 +871,7 @@ let snoop t ~lo ~hi ~self ~line ~invalidate ~drop =
       let st = Cache.line_state c ~line in
       if st <> Coherence.invalid then begin
         incr copies;
-        if st = Coherence.modified then wb := t.cfg.Config.store_remote;
+        if st = Coherence.modified then flushed := true;
         if invalidate then begin
           if !drop then begin
             drop := false;
@@ -881,7 +884,8 @@ let snoop t ~lo ~hi ~self ~line ~invalidate ~drop =
       end
     end
   done;
-  (!copies, !wb)
+  if !flushed then Pe.advance ctx.pe t.cfg.Config.store_remote;
+  !copies
 
 (* A bus-snooped read of the PEs [lo, hi) on bus [bus]: any valid state
    (S/E/M) is read locally without a bus transaction; a miss arbitrates
@@ -897,11 +901,9 @@ let snoop_read ~exclusive ~lo ~hi ~bus t ctx (r : Reference.t) idx addr tgt =
     count_miss ctx tgt;
     let ac = annex_cost t ctx tgt in
     let bus = bus_acquire t ctx ~bus ~lines:1 in
-    let copies, wb =
-      snoop t ~lo ~hi ~self ~line ~invalidate:false ~drop:false
-    in
     let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
-    Pe.advance ctx.pe (ac + bus + latency_of t ~pe:self tgt + delay + wb);
+    let copies = snoop t ctx ~lo ~hi ~line ~invalidate:false ~drop:false in
+    Pe.advance ctx.pe (ac + bus + latency_of t ~pe:self tgt + delay);
     let state =
       if exclusive && copies = 0 then Coherence.exclusive else Coherence.shared
     in
@@ -923,23 +925,28 @@ let snoop_write mesi t ctx wh ~addr =
   else begin
     let tgt = Addr_map.target_of wh ~pe:self ~addr in
     let s = ctx.pe.Pe.stats in
+    let miss = st = Coherence.invalid in
     let bus = bus_acquire t ctx ~bus:(Net.machine_bus t.net) ~lines:1 in
-    let others, wb =
-      snoop t ~lo:0 ~hi:(Array.length t.ctxs) ~self ~line ~invalidate:true
+    (* a miss books its link at the request cycle, before the snoop
+       charges a flush *)
+    let delay =
+      if miss then contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 else 0
+    in
+    let others =
+      snoop t ctx ~lo:0 ~hi:(Array.length t.ctxs) ~line ~invalidate:true
         ~drop:(t.sab = Drop_invalidate)
     in
     s.Stats.invalidations <- s.Stats.invalidations + others;
-    if st <> Coherence.invalid then begin
+    if not miss then begin
       (* S -> M upgrade: an ownership broadcast, no data transfer *)
       s.Stats.upgrades <- s.Stats.upgrades + 1;
       Cache.set_line_state c ~line Coherence.modified;
-      Pe.advance ctx.pe (store_cost t ~pe:self tgt + bus + wb)
+      Pe.advance ctx.pe (store_cost t ~pe:self tgt + bus)
     end
     else begin
       (* write miss: bus read-exclusive — fetch, invalidate, allocate M *)
       let ac = annex_cost t ctx tgt in
-      let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
-      Pe.advance ctx.pe (ac + bus + latency_of t ~pe:self tgt + delay + wb);
+      Pe.advance ctx.pe (ac + bus + latency_of t ~pe:self tgt + delay);
       fill ~state:Coherence.modified t ctx line
     end
   end
@@ -1005,21 +1012,24 @@ let dir_write d t ctx wh ~addr =
        bitset instead — its stale copy survives, unrecorded. *)
     let max_hop = ref 0 and invs = ref 0 in
     let skip = ref (t.sab = Corrupt_presence) in
-    Coherence.Dir.iter_sharers d ~line (fun p ->
-        if p <> self then begin
-          Coherence.Dir.remove d ~line ~pe:p;
-          if !skip then begin
-            skip := false;
-            t.sab_fired <- true
-          end
-          else begin
-            Cache.invalidate_line t.ctxs.(p).pe.Pe.cache ~line;
-            incr invs;
-            s.Stats.dir_msgs <- s.Stats.dir_msgs + 1;
-            let h = Net.cost t.net ~src:home ~dst:p in
-            if h > !max_hop then max_hop := h
-          end
-        end);
+    let p = ref (Coherence.Dir.next_sharer d ~line ~from:0) in
+    while !p >= 0 do
+      if !p <> self then begin
+        Coherence.Dir.remove d ~line ~pe:!p;
+        if !skip then begin
+          skip := false;
+          t.sab_fired <- true
+        end
+        else begin
+          Cache.invalidate_line t.ctxs.(!p).pe.Pe.cache ~line;
+          incr invs;
+          s.Stats.dir_msgs <- s.Stats.dir_msgs + 1;
+          let h = Net.cost t.net ~src:home ~dst:!p in
+          if h > !max_hop then max_hop := h
+        end
+      end;
+      p := Coherence.Dir.next_sharer d ~line ~from:(!p + 1)
+    done;
     s.Stats.invalidations <- s.Stats.invalidations + !invs;
     if st = Coherence.shared then s.Stats.upgrades <- s.Stats.upgrades + 1;
     let ack = 2 * !max_hop in
@@ -1091,17 +1101,17 @@ let cluster_write t ctx wh ~addr =
   let my_cluster = Net.cluster_of t.net self in
   let home_cluster = Net.cluster_of t.net home in
   let bus = bus_acquire t ctx ~bus:my_cluster ~lines:1 in
-  let own, wb_own =
-    snoop t ~lo:(my_cluster * cp)
+  let own =
+    snoop t ctx ~lo:(my_cluster * cp)
       ~hi:((my_cluster + 1) * cp)
-      ~self ~line ~invalidate:true ~drop:false
+      ~line ~invalidate:true ~drop:false
   in
-  let inter, wb_home =
-    if home_cluster = my_cluster then (0, 0)
+  let inter =
+    if home_cluster = my_cluster then 0
     else
-      snoop t ~lo:(home_cluster * cp)
+      snoop t ctx ~lo:(home_cluster * cp)
         ~hi:((home_cluster + 1) * cp)
-        ~self ~line ~invalidate:true
+        ~line ~invalidate:true
         ~drop:(t.sab = Drop_inter_cluster_invalidate)
   in
   s.Stats.invalidations <- s.Stats.invalidations + own + inter;
@@ -1110,7 +1120,7 @@ let cluster_write t ctx wh ~addr =
      s.Stats.upgrades <- s.Stats.upgrades + 1;
      Cache.set_line_state c ~line Coherence.modified
    end);
-  Pe.advance ctx.pe (store_cost t ~pe:self tgt + bus + wb_own + wb_home)
+  Pe.advance ctx.pe (store_cost t ~pe:self tgt + bus)
 
 (* The read protocol a reference executes, decided once per static
    reference (mode + classification + scheduled op + stale verdict never

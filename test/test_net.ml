@@ -250,38 +250,38 @@ let contention =
   [
     case "an idle link adds no delay" (fun () ->
         let net = Net.create Net.Crossbar ~n_pes:4 in
-        let delay, depth = Net.acquire net ~dst:1 ~now:100 ~hold:8 in
+        let delay = Net.acquire net ~dst:1 ~now:100 ~hold:8 in
         check_int "delay" 0 delay;
-        check_int "depth" 1 depth);
+        check_int "depth" 1 (Net.link_depth net ~dst:1));
     case "a busy link queues and deepens" (fun () ->
         let net = Net.create Net.Crossbar ~n_pes:4 in
         ignore (Net.acquire net ~dst:1 ~now:100 ~hold:8);
-        let d2, q2 = Net.acquire net ~dst:1 ~now:102 ~hold:8 in
+        let d2 = Net.acquire net ~dst:1 ~now:102 ~hold:8 in
         check_int "second waits for the first" 6 d2;
-        check_int "second is depth 2" 2 q2;
-        let d3, q3 = Net.acquire net ~dst:1 ~now:103 ~hold:8 in
+        check_int "second is depth 2" 2 (Net.link_depth net ~dst:1);
+        let d3 = Net.acquire net ~dst:1 ~now:103 ~hold:8 in
         check_int "third waits for both" 13 d3;
-        check_int "third is depth 3" 3 q3);
+        check_int "third is depth 3" 3 (Net.link_depth net ~dst:1));
     case "distinct links do not contend" (fun () ->
         let net = Net.create Net.Crossbar ~n_pes:4 in
         ignore (Net.acquire net ~dst:1 ~now:100 ~hold:8);
-        let delay, depth = Net.acquire net ~dst:2 ~now:100 ~hold:8 in
+        let delay = Net.acquire net ~dst:2 ~now:100 ~hold:8 in
         check_int "delay" 0 delay;
-        check_int "depth" 1 depth);
+        check_int "depth" 1 (Net.link_depth net ~dst:2));
     case "a drained link starts a fresh burst" (fun () ->
         let net = Net.create Net.Crossbar ~n_pes:4 in
         ignore (Net.acquire net ~dst:1 ~now:0 ~hold:8);
         ignore (Net.acquire net ~dst:1 ~now:1 ~hold:8);
-        let delay, depth = Net.acquire net ~dst:1 ~now:50 ~hold:8 in
+        let delay = Net.acquire net ~dst:1 ~now:50 ~hold:8 in
         check_int "delay" 0 delay;
-        check_int "depth resets" 1 depth);
+        check_int "depth resets" 1 (Net.link_depth net ~dst:1));
     case "reset_links forgets all bookings" (fun () ->
         let net = Net.create Net.Crossbar ~n_pes:4 in
         ignore (Net.acquire net ~dst:1 ~now:0 ~hold:100);
         Net.reset_links net;
-        let delay, depth = Net.acquire net ~dst:1 ~now:0 ~hold:8 in
+        let delay = Net.acquire net ~dst:1 ~now:0 ~hold:8 in
         check_int "delay" 0 delay;
-        check_int "depth" 1 depth);
+        check_int "depth" 1 (Net.link_depth net ~dst:1));
   ]
 
 (* the coherence-cluster axis: consecutive-PE islands, free intra-island
@@ -343,19 +343,13 @@ let clusters =
     case "island buses book independently and reset together" (fun () ->
         let net = Net.create ~cluster_pes:4 Net.Crossbar ~n_pes:8 in
         ignore (Net.acquire_bus net ~bus:0 ~now:0 ~since:0 ~hold:10);
-        let d0, _ =
-          Net.acquire_bus net ~bus:0 ~now:2 ~since:0 ~hold:10
-        in
+        let d0 = Net.acquire_bus net ~bus:0 ~now:2 ~since:0 ~hold:10 in
         check_true "own island pays backlog" (d0 > 0);
-        let d1, q1 =
-          Net.acquire_bus net ~bus:1 ~now:2 ~since:0 ~hold:10
-        in
+        let d1 = Net.acquire_bus net ~bus:1 ~now:2 ~since:0 ~hold:10 in
         check_int "other island idle" 0 d1;
-        check_int "other island depth" 1 q1;
+        check_int "other island depth" 1 (Net.bus_depth ~delay:d1 ~hold:10);
         Net.reset_links net;
-        let d0', _ =
-          Net.acquire_bus net ~bus:0 ~now:0 ~since:0 ~hold:10
-        in
+        let d0' = Net.acquire_bus net ~bus:0 ~now:0 ~since:0 ~hold:10 in
         check_int "barrier drains the island bus" 0 d0');
     case "the machine-wide bus books apart from the islands and drains"
       (fun () ->
@@ -363,18 +357,21 @@ let clusters =
         let bus = Net.machine_bus net in
         check_true "not an island" (bus >= Net.n_clusters net);
         ignore (Net.acquire_bus net ~bus ~now:0 ~since:0 ~hold:10);
-        let d, q = Net.acquire_bus net ~bus ~now:2 ~since:0 ~hold:10 in
+        let d = Net.acquire_bus net ~bus ~now:2 ~since:0 ~hold:10 in
         check_int "machine bus pays its backlog" 8 d;
-        check_int "machine bus depth" 1 q;
+        check_int "machine bus depth" 1 (Net.bus_depth ~delay:d ~hold:10);
         for island = 0 to Net.n_clusters net - 1 do
-          let di, qi = Net.acquire_bus net ~bus:island ~now:2 ~since:0 ~hold:10 in
+          let di = Net.acquire_bus net ~bus:island ~now:2 ~since:0 ~hold:10 in
           check_int (Printf.sprintf "island %d idle" island) 0 di;
-          check_int (Printf.sprintf "island %d depth" island) 1 qi
+          check_int
+            (Printf.sprintf "island %d depth" island)
+            1
+            (Net.bus_depth ~delay:di ~hold:10)
         done;
         Net.reset_links net;
-        let d', q' = Net.acquire_bus net ~bus ~now:0 ~since:0 ~hold:10 in
+        let d' = Net.acquire_bus net ~bus ~now:0 ~since:0 ~hold:10 in
         check_int "barrier drains the machine bus" 0 d';
-        check_int "drained depth" 1 q');
+        check_int "drained depth" 1 (Net.bus_depth ~delay:d' ~hold:10));
   ]
 
 (* the presets derived from the interconnect kinds stay mutually

@@ -352,6 +352,74 @@ let covered_promotion =
           c.Ccdp_core.Pipeline.plan.Annot.classes);
   ]
 
+(* Only prefetch scheduling reads the tuning, so rescheduling a compile's
+   front end must reproduce the direct compile under that tuning: the same
+   plan text and the same decisions. Checked on every suite workload and a
+   generated corpus, under the fuzz campaign's (and Ablation B's) four
+   single-technique tunings plus Ablation F's two-level pull and tight SP/MBP
+   bounds. The clustered compile at one-PE islands must equal the flat one:
+   the fuzz campaign reuses the flat compile for it. *)
+let reschedule_cases =
+  let module Pipeline = Ccdp_core.Pipeline in
+  let module Config = Ccdp_machine.Config in
+  let module Gen = Ccdp_fuzz.Gen in
+  let t0 = Schedule.default_tuning in
+  let tunings =
+    [
+      t0;
+      { t0 with Schedule.allow_sp = false; allow_mbp = false };
+      { t0 with Schedule.allow_vpg = false; allow_mbp = false };
+      { t0 with Schedule.allow_vpg = false; allow_sp = false };
+      { t0 with Schedule.vpg_levels = 2 };
+      { t0 with Schedule.sp_max = 2; mbp_min_cycles = 8 };
+    ]
+  in
+  let text (c : Pipeline.t) =
+    Format.asprintf "%a@.%a" Annot.pp c.plan Schedule.pp_decisions
+      c.decisions
+  in
+  let agrees ?prefetch_clean name cfg program =
+    let front = Pipeline.compile cfg ?prefetch_clean program in
+    List.iteri
+      (fun k tuning ->
+        let direct = Pipeline.compile cfg ~tuning ?prefetch_clean program in
+        let re = Pipeline.reschedule ~tuning front in
+        let name = Printf.sprintf "%s, tuning #%d" name k in
+        Alcotest.(check string) name (text direct) (text re);
+        check_true name (direct.decisions = re.decisions && re.tuning = tuning))
+      tunings
+  in
+  let corpus f =
+    let rng = Random.State.make [| 21 |] in
+    for i = 0 to 59 do
+      let d = Gen.generate rng in
+      f (Printf.sprintf "program #%d" i) d (Gen.build d)
+    done
+  in
+  [
+    case "rescheduling equals a direct compile on the suite" (fun () ->
+        List.iter
+          (fun (w : Ccdp_workloads.Workload.t) ->
+            agrees w.name (Config.t3d ~n_pes:16) w.program)
+          (Ccdp_workloads.Suite.all ~n:32 ~iters:1 ()));
+    case "rescheduling equals a direct compile on a fuzz corpus" (fun () ->
+        corpus (fun name d program ->
+            agrees ~prefetch_clean:d.Gen.pclean name
+              (Config.of_kind d.Gen.net ~n_pes:d.Gen.n_pes)
+              program));
+    case "a clustered compile at one-PE islands equals the flat one"
+      (fun () ->
+        corpus (fun name d program ->
+            let cfg = Config.of_kind d.Gen.net ~n_pes:d.Gen.n_pes in
+            let flat = Pipeline.compile cfg program in
+            let clu =
+              Pipeline.compile ~cluster_coherent:true
+                { cfg with Config.cluster_pes = 1 }
+                program
+            in
+            Alcotest.(check string) name (text flat) (text clu)));
+  ]
+
 let () =
   Alcotest.run "schedule"
     [
@@ -360,4 +428,5 @@ let () =
       ("tuning", tuning_cases);
       ("two-level-vpg", two_level);
       ("covered-promotion", covered_promotion);
+      ("reschedule", reschedule_cases);
     ]
