@@ -1,31 +1,25 @@
-(* Benchmark harness: regenerates every table of the paper plus the
-   ablation studies indexed in DESIGN.md, and (with "micro") runs bechamel
+(* The studies behind [ccdp bench]: every table of the paper plus the
+   ablation studies indexed in DESIGN.md, and (with "micro") bechamel
    microbenchmarks of the compiler phases and simulator primitives.
 
    The table/ablation/sweep grids are sharded across OCaml domains
-   (lib/exec); pass -j N (or set CCDP_JOBS) to pin the worker count,
-   -j1 to force the sequential reference path. Numbers are identical for
-   every job count. Each mode also writes its rows and tables as
-   BENCH_<mode>.json (schema: lib/core/bench_json.mli).
+   (lib/exec); -j N (or CCDP_JOBS) pins the worker count, -j1 forces the
+   sequential reference path. Numbers are identical for every job count.
+   Each study also writes its rows and tables as BENCH_<study>.json in the
+   working directory (schema: lib/core/bench_json.mli).
 
    Usage:
-     dune exec bench/main.exe                 -- everything (default sizes)
-     dune exec bench/main.exe -- table1       -- just Table 1
-     dune exec bench/main.exe -- table2
-     dune exec bench/main.exe -- ablate
-     dune exec bench/main.exe -- sweep
-     dune exec bench/main.exe -- micro
-     dune exec bench/main.exe -- oracle       -- staleness-oracle overhead
-     dune exec bench/main.exe -- perf         -- engine wall-clock throughput
-     dune exec bench/main.exe -- perf --quick -- reduced sizes (CI smoke)
-     dune exec bench/main.exe -- machines     -- interconnect sweep
-     dune exec bench/main.exe -- machines --machine t3d-mesh
-                                              -- one preset only
-     dune exec bench/main.exe -- rivals       -- hardware-coherence rivals
-     dune exec bench/main.exe -- rivals --quick -- reduced sizes (CI smoke)
-     dune exec bench/main.exe -- all --full   -- paper-shaped sizes (slow)
-     dune exec bench/main.exe -- table1 -j 8  -- eight worker domains
-   Any other argument prints the usage line and exits 2. *)
+     ccdp bench                      -- every study but micro
+     ccdp bench table1               -- just Tables 1 and 2
+     ccdp bench ablate sweep         -- several studies
+     ccdp bench oracle               -- staleness-oracle overhead
+     ccdp bench perf --quick         -- engine throughput, reduced sizes
+     ccdp bench machines --machine t3d-mesh
+                                     -- interconnect sweep, one preset
+     ccdp bench rivals --quick       -- hardware-coherence rivals
+     ccdp bench all --full           -- paper-shaped sizes (slow)
+     ccdp bench table1 -j 8          -- eight worker domains
+   `ccdp perf` times one cell of the perf study with [perf_cell]. *)
 
 open Ccdp_workloads
 open Ccdp_core
@@ -227,6 +221,93 @@ let oracle_overhead sizes =
 
 (* ---- engine wall-clock throughput ---------------------------------- *)
 
+(* [warm]: the first run pays lowering/page-in noise. Minor words are
+   counted on every domain, outside the timed interval: a sharded run
+   allocates on the pool's workers too. *)
+let time_run ?(warm = true) f =
+  if warm then ignore (f ());
+  let words = Ccdp_exec.Pool.all_minor_words in
+  let m0 = words () in
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let wall = Unix.gettimeofday () -. t0 in
+  (r, wall, words () -. m0)
+
+(* one timed run as a BENCH_perf.json row *)
+let perf_row ~workload ~mode ~pes ~jobs ~engine ~wall ~cycles
+    ~(stats : Ccdp_machine.Stats.t) minor_words =
+  let per t = if wall > 0.0 then float_of_int t /. wall else 0.0 in
+  let accesses = stats.reads + stats.writes in
+  {
+    Bench_json.p_workload = workload;
+    p_mode = Ccdp_runtime.Memsys.mode_name mode;
+    p_engine = engine;
+    p_pes = pes;
+    p_jobs = jobs;
+    p_wall_s = wall;
+    p_cycles = cycles;
+    p_cycles_per_s = per cycles;
+    p_accesses = accesses;
+    p_accesses_per_s = per accesses;
+    p_minor_words = minor_words;
+  }
+
+(* One perf cell: the compiled-plan engine over set-up [s], sharded over
+   [jobs] domains when [jobs > 1], then with [~reference] the reference
+   tree-walking engine. The reference engine always runs serially, so its
+   cycle agreement also certifies sharded against serial. Returns the
+   cell's rows, plan first. *)
+let perf_cell ?warm ~jobs ~reference ~workload mode (s : Pipeline.setup) =
+  let row = perf_row ~workload ~mode ~pes:s.cfg.Ccdp_machine.Config.n_pes in
+  let time ?pool () =
+    time_run ?warm (fun () ->
+        Ccdp_runtime.Interp.run s.cfg ?pool s.program ~plan:s.plan ~mode ())
+  in
+  let r, wall, mw =
+    if jobs > 1 then Ccdp_exec.Pool.with_pool ~jobs (fun pool -> time ~pool ())
+    else time ()
+  in
+  let plan =
+    row ~jobs ~engine:"plan" ~wall ~cycles:r.cycles ~stats:r.stats mw
+  in
+  if not reference then [ plan ]
+  else
+    let rr, rwall, rmw =
+      time_run (fun () ->
+          Ccdp_runtime.Interp_ref.run s.cfg s.program ~plan:s.plan ~mode ())
+    in
+    if rr.cycles <> r.cycles then
+      failwith
+        (Printf.sprintf "perf: engines disagree on %s/%s (%d vs %d cycles)"
+           workload plan.p_mode r.cycles rr.cycles);
+    [
+      plan;
+      row ~jobs:1 ~engine:"ref" ~wall:rwall ~cycles:rr.cycles ~stats:rr.stats
+        rmw;
+    ]
+
+let perf_header () =
+  Format.fprintf ppf "%-8s %-10s %-5s %10s %12s %14s %14s %14s@." "workload"
+    "mode" "eng" "wall" "cycles" "sim-cycles/s" "accesses/s" "minor-words"
+
+(* one row as a line of the engine table *)
+let print_perf_row (p : Bench_json.perf_row) =
+  Format.fprintf ppf "%-8s %-10s %-5s %9.3fs %12d %14.0f %14.0f %14.0f@."
+    p.p_workload p.p_mode p.p_engine p.p_wall_s p.p_cycles p.p_cycles_per_s
+    p.p_accesses_per_s p.p_minor_words
+
+(* the compiled-plan engine's throughput relative to the reference
+   engine, from a cell's [plan; ref] rows *)
+let print_ratio = function
+  | [ (p : Bench_json.perf_row); r ] when p.p_wall_s > 0.0 ->
+      Format.fprintf ppf
+        "@.%s/%s compiled-plan engine: %.2fx simulated-cycles/sec of the \
+         reference engine.@."
+        (String.uppercase_ascii p.p_workload)
+        (String.lowercase_ascii p.p_mode)
+        (r.p_wall_s /. p.p_wall_s)
+  | _ -> ()
+
 (* Host-time throughput of the compiled-plan engine (Interp) across the
    paper's four workloads and every coherence mode, plus the reference
    tree-walking engine (Interp_ref) on the CCDP rows so the speedup of
@@ -245,89 +326,31 @@ let perf sizes ~quick jobs =
         tree-walker)"
        n iters n_pes);
   let ws = Suite.spec_four ~n ~iters () in
-  (* [warm]: first run pays lowering/page-in noise *)
-  let time_run ?(warm = true) f =
-    if warm then ignore (f ());
-    let m0 = Ccdp_exec.Pool.all_minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let wall = Unix.gettimeofday () -. t0 in
-    (r, wall, Ccdp_exec.Pool.all_minor_words () -. m0)
-  in
-  (* one timed cell as a BENCH_perf.json row *)
-  let perf_row ?(jobs = 1) ~workload ~mode ~pes ~engine ~wall ~cycles
-      ~(stats : Ccdp_machine.Stats.t) minor_words =
-    let per t = if wall > 0.0 then float_of_int t /. wall else 0.0 in
-    let accesses = stats.reads + stats.writes in
-    {
-      Bench_json.p_workload = workload;
-      p_mode = Ccdp_runtime.Memsys.mode_name mode;
-      p_engine = engine;
-      p_pes = pes;
-      p_jobs = jobs;
-      p_wall_s = wall;
-      p_cycles = cycles;
-      p_cycles_per_s = per cycles;
-      p_accesses = accesses;
-      p_accesses_per_s = per accesses;
-      p_minor_words = minor_words;
-    }
-  in
-  (* records a row in [doc] and prints it as a line of the engine table *)
-  let emit doc (p : Bench_json.perf_row) =
-    Bench_json.add_perf doc p;
-    Format.fprintf ppf "%-8s %-10s %-5s %9.3fs %12d %14.0f %14.0f %14.0f@."
-      p.p_workload p.p_mode p.p_engine p.p_wall_s p.p_cycles p.p_cycles_per_s
-      p.p_accesses_per_s p.p_minor_words
-  in
   with_bench_json ~bench:"perf" ~jobs (fun doc ->
-      Format.fprintf ppf "%-8s %-10s %-5s %10s %12s %14s %14s %14s@."
-        "workload" "mode" "eng" "wall" "cycles" "sim-cycles/s" "accesses/s"
-        "minor-words";
-      let mxm_ratio = ref None in
+      let emit p =
+        Bench_json.add_perf doc p;
+        print_perf_row p
+      in
+      perf_header ();
+      let mxm = ref [] in
       List.iter
         (fun (w : Workload.t) ->
           List.iter
             (fun mode ->
-              let { Pipeline.cfg = mcfg; program = prog; plan; _ } =
-                Pipeline.for_mode ~n_pes mode w.Workload.program
+              let rows =
+                perf_cell ~jobs:1
+                  ~reference:(mode = Ccdp_runtime.Memsys.Ccdp)
+                  ~workload:w.Workload.name mode
+                  (Pipeline.for_mode ~n_pes mode w.Workload.program)
               in
-              let pes = mcfg.Ccdp_machine.Config.n_pes in
-              let r, wall, mw =
-                time_run (fun () ->
-                    Ccdp_runtime.Interp.run mcfg prog ~plan ~mode ())
-              in
-              emit doc
-                (perf_row ~workload:w.Workload.name ~mode ~pes ~engine:"plan"
-                   ~wall ~cycles:r.cycles ~stats:r.stats mw);
-              if mode = Ccdp_runtime.Memsys.Ccdp then begin
-                let rr, rwall, rmw =
-                  time_run (fun () ->
-                      Ccdp_runtime.Interp_ref.run mcfg prog ~plan ~mode ())
-                in
-                if rr.Ccdp_runtime.Interp_ref.cycles <> r.Ccdp_runtime.Interp.cycles
-                then
-                  failwith
-                    (Printf.sprintf
-                       "perf: engines disagree on %s/ccdp (%d vs %d cycles)"
-                       w.Workload.name r.Ccdp_runtime.Interp.cycles
-                       rr.Ccdp_runtime.Interp_ref.cycles);
-                emit doc
-                  (perf_row ~workload:w.Workload.name ~mode ~pes ~engine:"ref"
-                     ~wall:rwall ~cycles:rr.cycles ~stats:rr.stats rmw);
-                if String.lowercase_ascii w.Workload.name = "mxm" && wall > 0.0
-                then
-                  mxm_ratio := Some (rwall /. wall)
-              end)
+              List.iter emit rows;
+              if
+                mode = Ccdp_runtime.Memsys.Ccdp
+                && String.lowercase_ascii w.Workload.name = "mxm"
+              then mxm := rows)
             Ccdp_runtime.Memsys.all_modes)
         ws;
-      (match !mxm_ratio with
-      | Some r ->
-          Format.fprintf ppf
-            "@.MXM/ccdp compiled-plan engine: %.2fx simulated-cycles/sec of \
-             the reference engine.@."
-            r
-      | None -> ());
+      print_ratio !mxm;
       (* ---- intra-run shard scaling -------------------------------- *)
       (* Wide machines, one run each, sharded over -j domains inside the
          epoch loop (Interp ?pool). Simulated cycles are asserted
@@ -351,19 +374,14 @@ let perf sizes ~quick jobs =
           let baseline = ref None in
           List.iter
             (fun j ->
-              let run () =
-                let go ?pool () =
-                  Ccdp_runtime.Interp.run s.cfg ?pool s.program ~plan:s.plan
-                    ~mode ()
-                in
-                if j > 1 then
-                  Ccdp_exec.Pool.with_pool ~jobs:j (fun pool -> go ~pool ())
-                else go ()
-              in
               (* no warm-up: one timed run per (pes, jobs) cell keeps the
                  wide grid affordable; cycle identity does not need it *)
-              let r, wall, mw = time_run ~warm:false run in
-              let cycles = r.cycles in
+              let p =
+                List.hd
+                  (perf_cell ~warm:false ~jobs:j ~reference:false
+                     ~workload:w.Workload.name mode s)
+              in
+              let cycles = p.p_cycles and wall = p.p_wall_s in
               (match !baseline with
               | None -> baseline := Some (cycles, wall)
               | Some (c0, _) ->
@@ -378,9 +396,7 @@ let perf sizes ~quick jobs =
                 | Some (_, w0) when wall > 0.0 -> w0 /. wall
                 | _ -> 1.0
               in
-              Bench_json.add_perf doc
-                (perf_row ~jobs:j ~workload:w.Workload.name ~mode ~pes
-                   ~engine:"plan" ~wall ~cycles ~stats:r.stats mw);
+              Bench_json.add_perf doc p;
               Format.fprintf ppf "%-8s %6d %5d %9.3fs %12d %8.2fx@."
                 w.Workload.name pes j wall cycles speedup)
             scale_jobs)
@@ -462,73 +478,40 @@ let micro () =
         results)
     tests
 
-(* -j N / -jN / CCDP_JOBS, falling back to the domain count. Returns the
-   job count and the argument list with the flag consumed. *)
-let parse_jobs args =
-  let rec go acc = function
-    | [] -> (None, List.rev acc)
-    | "-j" :: v :: rest -> (int_of_string_opt v, List.rev_append acc rest)
-    | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" ->
-        (int_of_string_opt (String.sub a 2 (String.length a - 2)),
-         List.rev_append acc rest)
-    | a :: rest -> go (a :: acc) rest
-  in
-  let jobs, rest = go [] args in
-  (Ccdp_exec.Pool.resolve_jobs ?jobs (), rest)
+(* ---- studies ------------------------------------------------------- *)
 
-(* --machine NAME: restrict the machine sweep to one preset (any
-   Config.preset_of_string name, e.g. t3d-mesh or crossbar). *)
-let parse_machine args =
-  let rec go acc = function
-    | [] -> (None, List.rev acc)
-    | "--machine" :: v :: rest -> (Some v, List.rev_append acc rest)
-    | a :: rest -> go (a :: acc) rest
-  in
-  let machine, rest = go [] args in
-  (match machine with
-  | Some m when Ccdp_machine.Config.preset_of_string m = None ->
-      Printf.eprintf "unknown machine %S (presets: %s)\n" m
-        (String.concat ", " Ccdp_machine.Config.preset_names);
-      exit 2
-  | _ -> ());
-  (machine, rest)
+type study =
+  | All
+  | Table1
+  | Table2
+  | Ablate
+  | Sweep
+  | Micro
+  | Oracle
+  | Perf
+  | Machines
+  | Rivals
 
 let studies =
-  [ "table1"; "table2"; "ablate"; "sweep"; "micro"; "oracle"; "perf";
-    "machines"; "rivals" ]
+  [
+    ("all", All); ("table1", Table1); ("table2", Table2); ("ablate", Ablate);
+    ("sweep", Sweep); ("micro", Micro); ("oracle", Oracle); ("perf", Perf);
+    ("machines", Machines); ("rivals", Rivals);
+  ]
 
-(* Anything left after -j and --machine must name a study or a size flag:
-   a typo would otherwise run the whole suite. *)
-let reject_unknown args =
-  match
-    List.filter
-      (fun a -> not (List.mem a ("all" :: "--full" :: "--quick" :: studies)))
-      args
-  with
-  | [] -> ()
-  | bad ->
-      Printf.eprintf
-        "unknown argument: %s\nusage: main.exe [all|%s]... [--full] \
-         [--quick] [--machine NAME] [-j N]\n"
-        (String.concat " " bad)
-        (String.concat "|" studies);
-      exit 2
-
-let () =
-  let jobs, args = parse_jobs (List.tl (Array.to_list Sys.argv)) in
-  let machine, args = parse_machine args in
-  reject_unknown args;
-  let full = List.mem "--full" args in
+(* Runs the named studies in a fixed order, whatever order they are
+   named in. [All], or no study at all, runs every study but [Micro] plus
+   the extra kernels; Tables 1 and 2 come from one evaluation. *)
+let run ~full ~quick ~machine ~jobs named =
   let sizes = if full then full_sizes else default_sizes in
-  let quick = List.mem "--quick" args in
-  let has cmd = List.mem cmd args in
-  let all = has "all" || not (List.exists has studies) in
-  if all || has "table1" || has "table2" then tables sizes jobs;
+  let all = named = [] || List.mem All named in
+  let has s = all || List.mem s named in
+  if has Table1 || has Table2 then tables sizes jobs;
   if all then extras_table sizes jobs;
-  if all || has "ablate" then ablations sizes jobs;
-  if all || has "sweep" then sweeps sizes jobs;
-  if all || has "machines" then machines_bench sizes ~quick ~machine jobs;
-  if all || has "rivals" then rivals_bench sizes ~quick jobs;
-  if all || has "oracle" then oracle_overhead sizes;
-  if all || has "perf" then perf sizes ~quick jobs;
-  if has "micro" then micro ()
+  if has Ablate then ablations sizes jobs;
+  if has Sweep then sweeps sizes jobs;
+  if has Machines then machines_bench sizes ~quick ~machine jobs;
+  if has Rivals then rivals_bench sizes ~quick jobs;
+  if has Oracle then oracle_overhead sizes;
+  if has Perf then perf sizes ~quick jobs;
+  if List.mem Micro named then micro ()

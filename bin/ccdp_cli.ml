@@ -1,31 +1,62 @@
 (* ccdp: command-line driver for the CCDP reproduction.
 
-   Subcommands: list, analyze, run, table1, table2, ablate, sweep, perf. *)
+   Subcommands: list, analyze, run, table1, table2, ablate, sweep,
+   parallelize, profile, emit, load, check, fuzz, perf, bench. *)
 
 open Cmdliner
 open Ccdp_workloads
 
-let workloads_of ~n ~iters = Suite.all ~n ~iters ()
+(* ---- exit codes ---- *)
+
+(* one table for every subcommand: a wrong answer is a failed run, for
+   scripts and CI as much as for the reader of the report *)
+let exits =
+  [
+    Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 1
+      ~doc:
+        "on a wrong answer: a run whose final memory differs from \
+         sequential execution (the report says $(i,verification FAILED)), \
+         an error-severity diagnostic from $(b,check), or a fuzz failure or \
+         escape.";
+    Cmd.Exit.info 2
+      ~doc:
+        "on a malformed CRAFT file, reported as \
+         $(i,FILE:LINE:COL: error: MESSAGE) on standard error.";
+    Cmd.Exit.info 124
+      ~doc:
+        "on a command-line error: an unknown workload, mode, machine or \
+         study, a missing file, a rejected size, or a width or job count \
+         out of range.";
+    Cmd.Exit.info 125 ~doc:"on an unexpected internal error (a bug).";
+  ]
+
+let info name ~doc = Cmd.info name ~exits ~doc
 
 (* ---- common options ---- *)
 
+(* an integer out of range is a command-line error naming the option, not
+   a crash further in *)
+let int_conv ~what ~expected ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "invalid %s %S, expected %s" what s expected))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let n_arg =
-  Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc:"Problem size (matrix edge).")
+  Arg.(
+    value
+    & opt (int_conv ~what:"size" ~expected:"N >= 1" (fun n -> n >= 1)) 64
+    & info [ "n" ] ~docv:"N" ~doc:"Problem size (matrix edge).")
 
 let iters_arg =
   Arg.(
     value & opt int 2
     & info [ "iters" ] ~docv:"I" ~doc:"Time-loop iterations (TOMCATV/SWIM/Jacobi).")
 
-(* a machine narrower than one PE is a command-line error, not a crash in
-   the layout *)
-let width_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some p when p >= 1 -> Ok p
-    | _ -> Error (`Msg (Printf.sprintf "invalid width %S, expected P >= 1" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
+let width_conv = int_conv ~what:"width" ~expected:"P >= 1" (fun p -> p >= 1)
 
 let pes_arg =
   Arg.(
@@ -44,9 +75,17 @@ let verify_arg =
     & info [ "verify" ] ~docv:"BOOL"
         ~doc:"Check every run against the sequential execution.")
 
+(* bad input met while building from the arguments (an unknown workload
+   name, a size a workload rejects, an unreadable file) is a command-line
+   error, not an uncaught exception *)
+let checked build =
+  let run f =
+    try Ok (f ()) with Invalid_argument msg | Sys_error msg -> Error (`Msg msg)
+  in
+  Term.(cli_parse_result (const run $ build))
+
 (* builds only the named workload, so a size some other workload rejects
-   cannot stop the run; an unknown name, or a size this workload rejects,
-   is a command-line error *)
+   cannot stop the run *)
 let workload_term =
   let name_arg =
     Arg.(
@@ -54,11 +93,26 @@ let workload_term =
       & pos 0 (some string) None
       & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,ccdp list)).")
   in
-  let build name n iters =
-    try Ok (Suite.find ~n ~iters name)
-    with Invalid_argument msg -> Error (`Msg msg)
-  in
-  Term.(cli_parse_result (const build $ name_arg $ n_arg $ iters_arg))
+  checked
+    Term.(
+      const (fun name n iters () -> Suite.find ~n ~iters name)
+      $ name_arg $ n_arg $ iters_arg)
+
+(* the whole suite, or the paper's four benchmarks when [four] holds *)
+let suite_term four =
+  checked
+    Term.(
+      const (fun four n iters () ->
+          (if four then Suite.spec_four else Suite.all) ~n ~iters ())
+      $ four $ n_arg $ iters_arg)
+
+(* a CRAFT file that does not parse exits 2 with its located message *)
+let read_craft path =
+  try Ccdp_ir.Craft_parse.file path
+  with Ccdp_ir.Craft_parse.Error (ln, col, msg) ->
+    if col > 0 then Printf.eprintf "%s:%d:%d: error: %s\n" path ln col msg
+    else Printf.eprintf "%s:%d: error: %s\n" path ln msg;
+    exit 2
 
 (* --mode and --machine parsing and help text are generated from the
    runtime's own mode list and the machine preset table, so a new mode or
@@ -134,27 +188,27 @@ let machine_arg =
     & opt machine_conv ("t3d", Ccdp_machine.Config.t3d)
     & info [ "machine" ] ~docv:"MACHINE" ~doc:machine_doc)
 
+(* every worker is a domain, and the runtime refuses domains past
+   [Pool.max_jobs]: a count out of range fails before any pool exists *)
+let jobs_conv =
+  let max = Ccdp_exec.Pool.max_jobs in
+  int_conv ~what:"job count"
+    ~expected:(Printf.sprintf "1 <= JOBS <= %d" max)
+    (fun j -> j >= 1 && j <= max)
+
 (* resolved through CCDP_JOBS and the domain count when not given; -j 1
    bypasses the domain pool entirely (results are identical either way) *)
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some jobs_conv) None
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
           "Worker domains for independent simulator runs (default: \
-           \\$(b,CCDP_JOBS) or the recommended domain count). Results are \
+           $(b,CCDP_JOBS) or the recommended domain count). Results are \
            deterministic for any value; 1 disables the pool.")
 
 let resolve_jobs jobs = Ccdp_exec.Pool.resolve_jobs ?jobs ()
-
-(* a wrong answer is a failed run, for scripts and CI as much as for the
-   reader of the report *)
-let verify_failed_doc =
-  "when $(b,--verify) is on and the final memory differs from sequential \
-   execution (the report says $(i,verification FAILED))"
-
-let exits_1 doc = Cmd.Exit.info 1 ~doc :: Cmd.Exit.defaults
 
 let print_verification program r =
   let v = Ccdp_runtime.Verify.against_sequential program ~init:(fun _ -> ()) r in
@@ -164,13 +218,11 @@ let print_verification program r =
 (* ---- commands ---- *)
 
 let list_cmd =
-  let run n iters =
-    List.iter
-      (fun (w : Workload.t) -> Printf.printf "%-10s %s\n" w.name w.descr)
-      (workloads_of ~n ~iters)
+  let run =
+    List.iter (fun (w : Workload.t) -> Printf.printf "%-10s %s\n" w.name w.descr)
   in
-  Cmd.v (Cmd.info "list" ~doc:"List available workloads")
-    Term.(const run $ n_arg $ iters_arg)
+  Cmd.v (info "list" ~doc:"List available workloads")
+    Term.(const run $ suite_term (Term.const false))
 
 let analyze_cmd =
   let run (w : Workload.t) pe =
@@ -179,7 +231,7 @@ let analyze_cmd =
     Format.printf "%a@." Ccdp_core.Pipeline.report compiled
   in
   Cmd.v
-    (Cmd.info "analyze" ~doc:"Run the compiler pipeline and print its report")
+    (info "analyze" ~doc:"Run the compiler pipeline and print its report")
     Term.(const run $ workload_term $ pe_arg)
 
 let run_cmd =
@@ -196,10 +248,10 @@ let run_cmd =
     if verify then print_verification w.program r
   in
   Cmd.v
-    (Cmd.info "run" ~exits:(exits_1 (verify_failed_doc ^ "."))
+    (info "run"
        ~doc:
          "Execute one workload on the machine model and verify it against \
-          sequential execution; exits 1 when verification fails")
+          sequential execution")
     Term.(
       const run $ workload_term $ pe_arg $ mode_arg $ machine_arg
       $ verify_arg $ jobs_arg)
@@ -215,19 +267,16 @@ let csv_arg =
 
 (* Tables 1 and 2 render the same evaluation rows *)
 let table_cmd name ~doc table =
-  let run n iters pes verify spec_four csv jobs =
-    let ws =
-      if spec_four then Suite.spec_four ~n ~iters () else workloads_of ~n ~iters
-    in
+  let run ws pes verify csv jobs =
     let spec = { Ccdp_core.Experiment.default_spec with pes; verify } in
     let rows = Ccdp_core.Experiment.evaluate ~jobs:(resolve_jobs jobs) ~spec ws in
     if csv then Ccdp_core.Experiment.csv_rows Format.std_formatter rows
     else Ccdp_core.Experiment.print_tbl Format.std_formatter (table rows)
   in
-  Cmd.v (Cmd.info name ~doc)
+  Cmd.v (info name ~doc)
     Term.(
-      const run $ n_arg $ iters_arg $ pes_arg $ verify_arg $ spec_four_arg
-      $ csv_arg $ jobs_arg)
+      const run $ suite_term spec_four_arg $ pes_arg $ verify_arg $ csv_arg
+      $ jobs_arg)
 
 let table1_cmd =
   table_cmd "table1" ~doc:"Reproduce paper Table 1 (speedups)"
@@ -244,8 +293,7 @@ let ablate_cmd =
       & opt (enum [ ("target", `Target); ("sched", `Sched); ("coherence", `Coh) ]) `Coh
       & info [ "which" ] ~docv:"KIND" ~doc:"target | sched | coherence.")
   in
-  let run n iters pe which =
-    let ws = Suite.spec_four ~n ~iters () in
+  let run ws pe which =
     Ccdp_core.Experiment.(
       print_tbl Format.std_formatter
         (match which with
@@ -253,24 +301,20 @@ let ablate_cmd =
         | `Sched -> ablation_technique_table ~n_pes:pe ws
         | `Coh -> ablation_coherence_table ~n_pes:pe ws))
   in
-  Cmd.v (Cmd.info "ablate" ~doc:"Ablation studies (DESIGN.md index)")
-    Term.(const run $ n_arg $ iters_arg $ pe_arg $ which_arg)
+  Cmd.v (info "ablate" ~doc:"Ablation studies (DESIGN.md index)")
+    Term.(const run $ suite_term (Term.const true) $ pe_arg $ which_arg)
 
 let load_cmd =
-  let file_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"CRAFT-dialect source file.")
-  in
-  let run path pe mode verify =
-    let program =
-      try Ccdp_ir.Craft_parse.file path
-      with Ccdp_ir.Craft_parse.Error (ln, col, msg) ->
-        if col > 0 then Printf.eprintf "%s:%d:%d: error: %s\n" path ln col msg
-        else Printf.eprintf "%s:%d: error: %s\n" path ln msg;
-        exit 1
+  let program_term =
+    let file_arg =
+      Arg.(
+        required
+        & pos 0 (some file) None
+        & info [] ~docv:"FILE" ~doc:"CRAFT-dialect source file.")
     in
+    checked Term.(const (fun path () -> read_craft path) $ file_arg)
+  in
+  let run program pe mode verify =
     let s = Ccdp_core.Pipeline.for_mode ~n_pes:pe mode program in
     (* the report is the compile the run executes; a plan-free mode runs
        none, so it reports the plain compile at the same width *)
@@ -286,17 +330,11 @@ let load_cmd =
     if verify then print_verification program r
   in
   Cmd.v
-    (Cmd.info "load"
-       ~exits:
-         (exits_1
-            ("on malformed CRAFT input (reported as \
-              $(i,FILE:LINE:COL: error: MESSAGE) on standard error), and "
-           ^ verify_failed_doc ^ "."))
+    (info "load"
        ~doc:
          "Parse a CRAFT-dialect source file, compile and execute it, and \
-          verify it against sequential execution; exits 1 on malformed \
-          input or when verification fails")
-    Term.(const run $ file_arg $ pe_arg $ mode_arg $ verify_arg)
+          verify it against sequential execution")
+    Term.(const run $ program_term $ pe_arg $ mode_arg $ verify_arg)
 
 let emit_cmd =
   let run (w : Workload.t) pe =
@@ -306,7 +344,7 @@ let emit_cmd =
     Format.print_newline ()
   in
   Cmd.v
-    (Cmd.info "emit"
+    (info "emit"
        ~doc:
          "Print the compiled program as CRAFT-style Fortran with CCDP \
           prefetch annotations")
@@ -321,7 +359,7 @@ let profile_cmd =
     Format.print_newline ()
   in
   Cmd.v
-    (Cmd.info "profile" ~doc:"Per-epoch cycle breakdown of one run")
+    (info "profile" ~doc:"Per-epoch cycle breakdown of one run")
     Term.(const run $ workload_term $ pe_arg $ mode_arg)
 
 let parallelize_cmd =
@@ -331,7 +369,7 @@ let parallelize_cmd =
     Format.printf "%a@." Ccdp_analysis.Parallelize.pp_report report
   in
   Cmd.v
-    (Cmd.info "parallelize"
+    (info "parallelize"
        ~doc:"Run the Polaris-style dependence test over a workload")
     Term.(const run $ workload_term)
 
@@ -343,7 +381,8 @@ let fuzz_cmd =
   in
   let count_arg =
     Arg.(
-      value & opt int 500
+      value
+      & opt (int_conv ~what:"count" ~expected:"N >= 0" (fun c -> c >= 0)) 500
       & info [ "count" ] ~docv:"N" ~doc:"Number of random programs to check.")
   in
   let dump_arg =
@@ -375,23 +414,14 @@ let fuzz_cmd =
   let shards_arg =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
+      & opt (some jobs_conv) None
+      & info [ "shards" ] ~docv:"N" ~env:(Cmd.Env.info "CCDP_SHARDS")
           ~doc:
             "Run every shardable variant with intra-run epoch sharding over \
-             $(docv) domains, as the CI smoke job does. Mirrors the \
-             $(b,CCDP_SHARDS) environment variable (the flag wins when both \
-             are set); campaign output must be identical either way.")
+             $(docv) domains, as the CI smoke job does; campaign output must \
+             be identical either way.")
   in
   let run seed count dump break_stale sabotage shards jobs =
-    let shards =
-      match shards with
-      | Some _ -> shards
-      | None ->
-          Option.bind
-            (Sys.getenv_opt "CCDP_SHARDS")
-            (fun s -> int_of_string_opt (String.trim s))
-    in
     if sabotage then begin
       let summaries =
         Ccdp_fuzz.Driver.sabotage_campaign ~jobs:(resolve_jobs jobs) ~seed
@@ -423,7 +453,7 @@ let fuzz_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (info "fuzz"
        ~doc:
          "Differential soundness fuzzing: random CRAFT programs through BASE, \
           every CCDP scheduling variant, the hardware-coherence rivals \
@@ -458,31 +488,24 @@ let check_cmd =
       & info [ "warnings-as-errors" ]
           ~doc:"Exit non-zero on warnings too, not just errors.")
   in
-  let run targets all n iters pe json werror =
-    let ws = workloads_of ~n ~iters in
-    let resolve t =
-      if Filename.check_suffix t ".craft" then
-        ( Filename.remove_extension (Filename.basename t),
-          try Ccdp_ir.Craft_parse.file t
-          with Ccdp_ir.Craft_parse.Error (ln, col, msg) ->
-            if col > 0 then Printf.eprintf "%s:%d:%d: error: %s\n" t ln col msg
-            else Printf.eprintf "%s:%d: error: %s\n" t ln msg;
-            exit 2 )
-      else
-        let w =
-          try Workload.find ws t
-          with Invalid_argument msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit 2
-        in
-        (w.Workload.name, w.Workload.program)
-    in
-    let named =
-      (if all || targets = [] then
-         List.map (fun (w : Workload.t) -> (w.name, w.program)) ws
+  (* the suite is built only when it is checked, so a size some workload
+     rejects cannot stop a check of CRAFT files *)
+  let named_term =
+    let resolve targets all n iters () =
+      let named (w : Workload.t) = (w.name, w.program) in
+      let target t =
+        if Filename.check_suffix t ".craft" then
+          (Filename.remove_extension (Filename.basename t), read_craft t)
+        else named (Suite.find ~n ~iters t)
+      in
+      (if all || targets = [] then List.map named (Suite.all ~n ~iters ())
        else [])
-      @ List.map resolve targets
+      @ List.map target targets
     in
+    checked
+      Term.(const resolve $ targets_arg $ all_arg $ n_arg $ iters_arg)
+  in
+  let run named pe json werror =
     let cfg = Ccdp_machine.Config.t3d ~n_pes:pe in
     let reports =
       List.map
@@ -503,70 +526,71 @@ let check_cmd =
     then exit 1
   in
   Cmd.v
-    (Cmd.info "check"
+    (info "check"
        ~doc:
          "Statically certify compiled coherence plans: coverage of \
           potentially-stale reads, DOALL race freedom, prefetch sizing \
-          lints. Exits 1 when an error-severity diagnostic fires, 2 on \
-          unusable targets.")
-    Term.(
-      const run $ targets_arg $ all_arg $ n_arg $ iters_arg $ pe_arg
-      $ json_arg $ werror_arg)
+          lints")
+    Term.(const run $ named_term $ pe_arg $ json_arg $ werror_arg)
 
 let perf_cmd =
   let run (w : Workload.t) pe mode (_, machine) jobs =
-    let jobs = resolve_jobs jobs in
-    let { Ccdp_core.Pipeline.cfg; program = prog; plan; _ } =
-      Ccdp_core.Pipeline.for_mode ~machine ~n_pes:pe mode w.program
+    let rows =
+      Bench.perf_cell ~jobs:(resolve_jobs jobs) ~reference:true
+        ~workload:w.name mode
+        (Ccdp_core.Pipeline.for_mode ~machine ~n_pes:pe mode w.program)
     in
-    (* minor words of every domain, counted outside the timed interval:
-       a sharded run allocates on the pool's workers too *)
-    let time f =
-      ignore (f ()) (* warm up *);
-      let m0 = Ccdp_exec.Pool.all_minor_words () in
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let wall = Unix.gettimeofday () -. t0 in
-      (r, wall, Ccdp_exec.Pool.all_minor_words () -. m0)
-    in
-    (* only the plan engine shards; the reference engine stays serial, so
-       the cycle-agreement check below also certifies sharded-vs-serial *)
-    let r, wall, mw =
-      if jobs > 1 then
-        Ccdp_exec.Pool.with_pool ~jobs (fun pool ->
-            time (fun () ->
-                Ccdp_runtime.Interp.run cfg ~pool prog ~plan ~mode ()))
-      else time (fun () -> Ccdp_runtime.Interp.run cfg prog ~plan ~mode ())
-    in
-    let rr, rwall, rmw =
-      time (fun () -> Ccdp_runtime.Interp_ref.run cfg prog ~plan ~mode ())
-    in
-    if rr.Ccdp_runtime.Interp_ref.cycles <> r.Ccdp_runtime.Interp.cycles then
-      failwith
-        (Printf.sprintf "perf: engines disagree (%d vs %d cycles)"
-           r.Ccdp_runtime.Interp.cycles rr.Ccdp_runtime.Interp_ref.cycles);
-    let cycles = r.Ccdp_runtime.Interp.cycles in
-    let line eng wall mw =
-      Printf.printf "%-5s %9.3fs %12d cycles %14.0f sim-cycles/s %14.0f minor-words\n"
-        eng wall cycles
-        (if wall > 0.0 then float_of_int cycles /. wall else 0.0)
-        mw
-    in
-    line "plan" wall mw;
-    line "ref" rwall rmw;
-    if wall > 0.0 then
-      Printf.printf "speedup: %.2fx wall-clock, %.1f%% of the allocations\n"
-        (rwall /. wall)
-        (100.0 *. mw /. Float.max 1.0 rmw)
+    Bench.perf_header ();
+    List.iter Bench.print_perf_row rows;
+    Bench.print_ratio rows
   in
   Cmd.v
-    (Cmd.info "perf"
+    (info "perf"
        ~doc:
          "Time one workload on the compiled-plan engine and the reference \
           tree-walking engine (identical simulated cycles, host wall-clock \
-          and allocation compared)")
+          and allocation compared), as one cell of $(b,ccdp bench perf)")
     Term.(
       const run $ workload_term $ pe_arg $ mode_arg $ machine_arg $ jobs_arg)
+
+let bench_cmd =
+  let studies_arg =
+    Arg.(
+      value
+      & pos_all (enum Bench.studies) []
+      & info [] ~docv:"STUDY"
+          ~doc:
+            ("The studies to run: "
+            ^ doc_alts_enum Bench.studies
+            ^ ". With none, or with $(b,all), every study but $(b,micro) \
+               runs, plus the extra kernels."))
+  in
+  let full_arg =
+    Arg.(value & flag & info [ "full" ] ~doc:"Paper-shaped problem sizes (slow).")
+  in
+  let quick_arg =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:"Reduced sizes for $(b,perf), $(b,machines) and $(b,rivals).")
+  in
+  let only_arg =
+    Arg.(
+      value
+      & opt (some machine_conv) None
+      & info [ "machine" ] ~docv:"MACHINE"
+          ~doc:"Restrict the $(b,machines) sweep to one preset.")
+  in
+  let run named full quick machine jobs =
+    Bench.run ~full ~quick ~machine:(Option.map fst machine)
+      ~jobs:(resolve_jobs jobs) named
+  in
+  Cmd.v
+    (info "bench"
+       ~doc:
+         "Regenerate the paper's tables and the DESIGN.md studies; each \
+          study also writes $(i,BENCH_<study>.json) to the working directory")
+    Term.(const run $ studies_arg $ full_arg $ quick_arg $ only_arg $ jobs_arg)
 
 let sweep_cmd =
   let run pe w =
@@ -574,17 +598,17 @@ let sweep_cmd =
       print_tbl Format.std_formatter (sweep_remote_table ~n_pes:pe w);
       print_tbl Format.std_formatter (sweep_queue_table ~n_pes:pe w))
   in
-  Cmd.v (Cmd.info "sweep" ~doc:"Latency and queue-capacity sweeps")
+  Cmd.v (info "sweep" ~doc:"Latency and queue-capacity sweeps")
     Term.(const run $ pe_arg $ workload_term)
 
 let main =
   Cmd.group
-    (Cmd.info "ccdp" ~version:"1.0"
+    (Cmd.info "ccdp" ~version:"1.0" ~exits
        ~doc:"Compiler-directed cache coherence with data prefetching (Lim & Yew, IPPS'97)")
     [
       list_cmd; analyze_cmd; run_cmd; table1_cmd; table2_cmd; ablate_cmd;
       sweep_cmd; parallelize_cmd; profile_cmd; emit_cmd; load_cmd; check_cmd;
-      fuzz_cmd; perf_cmd;
+      fuzz_cmd; perf_cmd; bench_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -41,7 +41,7 @@
 
 type t
 
-(** One engine timing: a (workload, mode, engine) cell of [bench -- perf].
+(** One engine timing: a (workload, mode, engine) cell of [ccdp bench perf].
     [p_engine] is ["plan"] ({!Ccdp_runtime.Interp}) or ["ref"]
     ({!Ccdp_runtime.Interp_ref}); [p_jobs] is the intra-run shard count
     the cell ran with (1 = serial); [p_minor_words] is the

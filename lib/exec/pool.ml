@@ -1,5 +1,9 @@
 exception Run_failed of { index : int; label : string; exn : exn }
 
+(* OCaml 5.1 runs at most 128 domains at once, the calling one included
+   (Max_domains on 64-bit hosts) *)
+let max_jobs = 128
+
 let resolve_jobs ?jobs () =
   match jobs with
   | Some j when j >= 1 -> j
@@ -7,7 +11,7 @@ let resolve_jobs ?jobs () =
       match Sys.getenv_opt "CCDP_JOBS" with
       | Some s -> (
           match int_of_string_opt (String.trim s) with
-          | Some j when j >= 1 -> j
+          | Some j when j >= 1 && j <= max_jobs -> j
           | _ -> Domain.recommended_domain_count ())
       | None -> Domain.recommended_domain_count ())
 

@@ -25,9 +25,14 @@ type t
     caller-supplied run description (empty when none was given). *)
 exception Run_failed of { index : int; label : string; exn : exn }
 
+(** The most workers a pool can have: OCaml 5.1 runs at most 128
+    domains at once, the calling domain included. *)
+val max_jobs : int
+
 (** Resolve a job count: [jobs] argument, else [CCDP_JOBS], else
-    [Domain.recommended_domain_count ()]. Values below 1, or an
-    unparseable [CCDP_JOBS], fall back to the next source. *)
+    [Domain.recommended_domain_count ()]. Values below 1, a [CCDP_JOBS]
+    above {!max_jobs}, or an unparseable [CCDP_JOBS], fall back to the
+    next source. *)
 val resolve_jobs : ?jobs:int -> unit -> int
 
 (** [create ~jobs] spawns [jobs - 1] worker domains (the calling domain

@@ -414,60 +414,65 @@ type sabotage_summary = {
   sb_escapes : int;
 }
 
-let run_sabotage case (d : Gen.desc) =
-  let cfg = cfg_of d in
+(* One program under every sabotage case: built once, with one
+   sequential baseline, and each case run on the set-up [check_full]
+   gives the variant of its mode. So the clustered case runs on the
+   re-islanded machine under the cluster-discharge plan — exactly the
+   configuration whose soundness leans on the back-invalidations the
+   fault drops. Returns (fired, caught, escaped) per case, in
+   [sabotage_cases] order. *)
+let run_sabotage (d : Gen.desc) =
   let program = Gen.build d in
-  let seq = Seq_oracle.run cfg program () in
-  (* the clustered case runs on the re-islanded machine under the
-     cluster-discharge plan — exactly the configuration whose soundness
-     leans on the back-invalidations the fault drops *)
-  let s =
-    Pipeline.for_mode ~prefetch_clean:d.Gen.pclean
-      ~machine:(machine_for d case.sb_mode) ~n_pes:d.Gen.n_pes case.sb_mode
-      program
-  in
-  let r =
-    Interp.run s.cfg ~oracle:true ~sabotage:case.sb_fault s.program
-      ~plan:s.plan ~mode:case.sb_mode ()
-  in
-  let fired = Memsys.sabotage_fired r.Interp.sys in
-  let caught = Memsys.oracle_violation_count r.Interp.sys > 0 in
-  let ok =
-    (Verify.compare_states ~expected:seq ~got:r.Interp.sys program)
-      .Verify.ok
-  in
-  (fired, caught, (not ok) && not caught)
+  let seq = Seq_oracle.run (cfg_of d) program () in
+  let _, setup = setups d program in
+  List.map
+    (fun case ->
+      let s = setup (List.find (fun v -> v.mode = case.sb_mode) variants) in
+      let r =
+        Interp.run s.cfg ~oracle:true ~sabotage:case.sb_fault s.program
+          ~plan:s.plan ~mode:case.sb_mode ()
+      in
+      let fired = Memsys.sabotage_fired r.Interp.sys in
+      let caught = Memsys.oracle_violation_count r.Interp.sys > 0 in
+      let ok =
+        (Verify.compare_states ~expected:seq ~got:r.Interp.sys program)
+          .Verify.ok
+      in
+      (fired, caught, (not ok) && not caught))
+    sabotage_cases
 
+(* one task per program; each case's summary is folded from the
+   per-program outcomes in index order *)
 let sabotage_campaign ?jobs ~seed ~count () =
   let rng = Random.State.make [| seed; 0x5ab0 |] in
   let descs = List.init count (fun _ -> Gen.generate rng) in
-  Ccdp_exec.Pool.with_pool ?jobs (fun pool ->
-      List.map
-        (fun case ->
-          let outcomes =
-            Ccdp_exec.Pool.map_runs pool
-              ~label:(fun i ->
-                Printf.sprintf "sabotage %s #%d" case.sb_name i)
-              (fun _ d -> run_sabotage case d)
-              descs
-          in
-          List.fold_left
-            (fun acc (fired, caught, escape) ->
-              {
-                acc with
-                sb_fired = (acc.sb_fired + if fired then 1 else 0);
-                sb_caught = (acc.sb_caught + if caught then 1 else 0);
-                sb_escapes = (acc.sb_escapes + if escape then 1 else 0);
-              })
-            {
-              sb_case = case;
-              sb_programs = count;
-              sb_fired = 0;
-              sb_caught = 0;
-              sb_escapes = 0;
-            }
-            outcomes)
-        sabotage_cases)
+  let outcomes =
+    Ccdp_exec.Pool.with_pool ?jobs (fun pool ->
+        Ccdp_exec.Pool.map_runs pool
+          ~label:(fun i -> Printf.sprintf "sabotage program #%d" i)
+          (fun _ d -> run_sabotage d)
+          descs)
+  in
+  let tally acc (fired, caught, escape) =
+    {
+      acc with
+      sb_fired = (acc.sb_fired + if fired then 1 else 0);
+      sb_caught = (acc.sb_caught + if caught then 1 else 0);
+      sb_escapes = (acc.sb_escapes + if escape then 1 else 0);
+    }
+  in
+  List.fold_left (List.map2 tally)
+    (List.map
+       (fun case ->
+         {
+           sb_case = case;
+           sb_programs = count;
+           sb_fired = 0;
+           sb_caught = 0;
+           sb_escapes = 0;
+         })
+       sabotage_cases)
+    outcomes
 
 let pp_sabotage_summary ppf s =
   Format.fprintf ppf

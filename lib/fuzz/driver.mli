@@ -152,6 +152,8 @@ type sabotage_summary = {
 
 (** Run every {!sabotage_cases} entry over [count] programs drawn from
     [seed] (same sharding and determinism guarantees as {!campaign}).
+    Each program is built once and runs one sequential baseline; the
+    cases take their set-ups from the ones {!check_desc} shares.
     The soundness claim the tests pin: [sb_caught > 0] (each fault class
     is catchable) and [sb_escapes = 0] (nothing corrupts numerics behind
     the oracle's back). *)

@@ -7,7 +7,7 @@
     The two must agree cycle-for-cycle: the engine differential tests run
     the fuzz corpus through both and assert identical cycles, stats,
     per-PE clocks, epoch profiles and final memory images, and
-    [bench -- perf] reports the compiled engine's throughput relative to
+    [ccdp bench perf] reports the compiled engine's throughput relative to
     this one. Intentionally unoptimized — do not touch its hot path. *)
 
 type result = {

@@ -102,6 +102,10 @@ let pool_tests =
         Unix.putenv "CCDP_JOBS" "0";
         check_int "zero falls through" (Domain.recommended_domain_count ())
           (Pool.resolve_jobs ());
+        Unix.putenv "CCDP_JOBS" "129";
+        check_int "above max_jobs falls through"
+          (Domain.recommended_domain_count ())
+          (Pool.resolve_jobs ());
         Unix.putenv "CCDP_JOBS" "";
         check_int "invalid arg falls to env"
           (Domain.recommended_domain_count ())
