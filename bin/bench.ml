@@ -1,6 +1,6 @@
 (* The studies behind [ccdp bench]: every table of the paper plus the
-   ablation studies indexed in DESIGN.md, and (with "micro") bechamel
-   microbenchmarks of the compiler phases and simulator primitives.
+   ablation studies indexed in DESIGN.md, the staleness-oracle overhead
+   and the engine throughput.
 
    The table/ablation/sweep grids are sharded across OCaml domains
    (lib/exec); -j N (or CCDP_JOBS) pins the worker count, -j1 forces the
@@ -9,7 +9,7 @@
    working directory (schema: lib/core/bench_json.mli).
 
    Usage:
-     ccdp bench                      -- every study but micro
+     ccdp bench                      -- every study
      ccdp bench table1               -- just Tables 1 and 2
      ccdp bench ablate sweep         -- several studies
      ccdp bench oracle               -- staleness-oracle overhead
@@ -170,54 +170,6 @@ let rivals_bench sizes ~quick jobs =
       let rows = Experiment.rivals_rows ~n_pes ~jobs ws in
       Bench_json.add_rivals doc rows;
       emit doc (Experiment.rivals_table rows))
-
-(* ---- staleness-oracle overhead ------------------------------------- *)
-
-(* Host-time cost of arming the dynamic staleness oracle. The oracle is
-   pure instrumentation: it must not change the simulated machine (cycles
-   are asserted identical) and should stay cheap enough to leave on for
-   every fuzz run. Timed serially — parallel workers would contend for
-   the clock. *)
-let oracle_overhead sizes =
-  header "Staleness-oracle overhead (host time; simulated cycles unchanged)";
-  let ws =
-    [
-      Tomcatv.workload ~n:sizes.n ~iters:sizes.iters;
-      Mxm.workload ~n:sizes.n;
-      Extras.jacobi ~n:sizes.n ~iters:sizes.iters;
-    ]
-  in
-  Format.fprintf ppf "%-10s %12s %12s %9s %12s %10s@." "workload" "off (s)"
-    "on (s)" "overhead" "checks" "violations";
-  List.iter
-    (fun (w : Workload.t) ->
-      let mode = Ccdp_runtime.Memsys.Ccdp in
-      let s = Pipeline.for_mode ~n_pes:sizes.abl_pes mode w.Workload.program in
-      let run ~oracle =
-        Ccdp_runtime.Interp.run s.cfg ~oracle s.program ~plan:s.plan ~mode ()
-      in
-      let time ~oracle =
-        let t0 = Sys.time () in
-        let r = run ~oracle in
-        (Sys.time () -. t0, r)
-      in
-      ignore (run ~oracle:false) (* warm up *);
-      let t_off, r_off = time ~oracle:false in
-      let t_on, r_on = time ~oracle:true in
-      if r_on.Ccdp_runtime.Interp.cycles <> r_off.Ccdp_runtime.Interp.cycles
-      then
-        failwith
-          (Printf.sprintf "%s: oracle changed simulated time (%d vs %d)"
-             w.Workload.name r_on.Ccdp_runtime.Interp.cycles
-             r_off.Ccdp_runtime.Interp.cycles);
-      let sys = r_on.Ccdp_runtime.Interp.sys in
-      Format.fprintf ppf "%-10s %12.3f %12.3f %8.1f%% %12d %10d@."
-        w.Workload.name t_off t_on
-        (if t_off > 0.0 then 100.0 *. ((t_on /. t_off) -. 1.0) else 0.0)
-        (Ccdp_runtime.Memsys.oracle_checked sys)
-        (Ccdp_runtime.Memsys.oracle_violation_count sys))
-    ws;
-  Format.fprintf ppf "@."
 
 (* ---- engine wall-clock throughput ---------------------------------- *)
 
@@ -402,81 +354,48 @@ let perf sizes ~quick jobs =
             scale_jobs)
         scale_pes)
 
-(* ---- bechamel microbenchmarks -------------------------------------- *)
+(* ---- staleness-oracle overhead ------------------------------------- *)
 
-let micro () =
-  header "Microbenchmarks (bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let w = Tomcatv.workload ~n:32 ~iters:1 in
-  let cfg16 = Ccdp_machine.Config.t3d ~n_pes:16 in
-  let inlined = Ccdp_ir.Program.inline w.Workload.program in
-  let ep = Ccdp_ir.Epoch.partition inlined.Ccdp_ir.Program.main in
-  let infos = Ccdp_analysis.Ref_info.collect ep in
-  let compiled32 = Pipeline.compile cfg16 w.Workload.program in
-  let jac = Extras.jacobi ~n:24 ~iters:1 in
-  let jac_compiled = Pipeline.compile (Ccdp_machine.Config.t3d ~n_pes:4) jac.Workload.program in
-  let cache = Ccdp_machine.Cache.of_config cfg16 in
-  let payload = Array.make cfg16.Ccdp_machine.Config.line_words 1.0 in
-  let sec_a =
-    Ccdp_ir.Section.of_dims
-      [ Ccdp_ir.Section.dim ~lo:0 ~hi:500 ~step:3; Ccdp_ir.Section.dim ~lo:0 ~hi:500 ~step:2 ]
-  in
-  let sec_b =
-    Ccdp_ir.Section.of_dims
-      [ Ccdp_ir.Section.dim ~lo:1 ~hi:400 ~step:7; Ccdp_ir.Section.dim ~lo:3 ~hi:900 ~step:5 ]
-  in
-  let tests =
+(* Host-time cost of arming the dynamic staleness oracle, timed with
+   [time_run] like every perf row (one warm-up, then one run each way).
+   The oracle is pure instrumentation: it must not change the simulated
+   machine (cycles are asserted identical) and should stay cheap enough to
+   leave on for every fuzz run. Timed serially — parallel workers would
+   contend for the clock. *)
+let oracle_overhead sizes =
+  header "Staleness-oracle overhead (host time; simulated cycles unchanged)";
+  let ws =
     [
-      Test.make ~name:"section.inter (2-D strided)"
-        (Staged.stage (fun () -> Ccdp_ir.Section.inter sec_a sec_b));
-      Test.make ~name:"cache fill+read line"
-        (Staged.stage (fun () ->
-             ignore (Ccdp_machine.Cache.fill cache ~line:17 payload);
-             Ccdp_machine.Cache.read cache ~addr:68));
-      Test.make ~name:"stale analysis (tomcatv n=32, 16 PEs)"
-        (Staged.stage (fun () ->
-             let region = Ccdp_analysis.Region.make inlined ~n_pes:16 in
-             Ccdp_analysis.Stale.analyze region infos));
-      Test.make ~name:"full pipeline compile (tomcatv n=32)"
-        (Staged.stage (fun () -> Pipeline.compile cfg16 w.Workload.program));
-      Test.make ~name:"interp jacobi n=24 CCDP (4 PEs)"
-        (Staged.stage (fun () ->
-             Ccdp_runtime.Interp.run
-               (Ccdp_machine.Config.t3d ~n_pes:4)
-               jac_compiled.Pipeline.program ~plan:jac_compiled.Pipeline.plan
-               ~mode:Ccdp_runtime.Memsys.Ccdp ()));
-      Test.make ~name:"epoch partition + ref collection (tomcatv)"
-        (Staged.stage (fun () ->
-             Ccdp_analysis.Ref_info.collect
-               (Ccdp_ir.Epoch.partition inlined.Ccdp_ir.Program.main)));
-      (let text = Ccdp_core.Craft_emit.to_string compiled32 in
-       Test.make ~name:"CRAFT parse (tomcatv source)"
-         (Staged.stage (fun () -> Ccdp_ir.Craft_parse.program text)));
-      Test.make ~name:"CRAFT emit (tomcatv)"
-        (Staged.stage (fun () -> Ccdp_core.Craft_emit.to_string compiled32));
+      Tomcatv.workload ~n:sizes.n ~iters:sizes.iters;
+      Mxm.workload ~n:sizes.n;
+      Extras.jacobi ~n:sizes.n ~iters:sizes.iters;
     ]
   in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:None () in
-    let raw = Benchmark.all cfg instances test in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
+  Format.fprintf ppf "%-10s %12s %12s %9s %12s %10s@." "workload" "off (s)"
+    "on (s)" "overhead" "checks" "violations";
   List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"g" [ test ]) in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Format.fprintf ppf "%-45s %12.0f ns/run@." name est
-          | _ -> Format.fprintf ppf "%-45s (no estimate)@." name)
-        results)
-    tests
+    (fun (w : Workload.t) ->
+      let mode = Ccdp_runtime.Memsys.Ccdp in
+      let s = Pipeline.for_mode ~n_pes:sizes.abl_pes mode w.Workload.program in
+      let run ~oracle () =
+        Ccdp_runtime.Interp.run s.cfg ~oracle s.program ~plan:s.plan ~mode ()
+      in
+      let r_off, t_off, _ = time_run (run ~oracle:false) in
+      let r_on, t_on, _ = time_run ~warm:false (run ~oracle:true) in
+      if r_on.Ccdp_runtime.Interp.cycles <> r_off.Ccdp_runtime.Interp.cycles
+      then
+        failwith
+          (Printf.sprintf "%s: oracle changed simulated time (%d vs %d)"
+             w.Workload.name r_on.Ccdp_runtime.Interp.cycles
+             r_off.Ccdp_runtime.Interp.cycles);
+      let sys = r_on.Ccdp_runtime.Interp.sys in
+      Format.fprintf ppf "%-10s %12.3f %12.3f %8.1f%% %12d %10d@."
+        w.Workload.name t_off t_on
+        (if t_off > 0.0 then 100.0 *. ((t_on /. t_off) -. 1.0) else 0.0)
+        (Ccdp_runtime.Memsys.oracle_checked sys)
+        (Ccdp_runtime.Memsys.oracle_violation_count sys))
+    ws;
+  Format.fprintf ppf "@."
 
 (* ---- studies ------------------------------------------------------- *)
 
@@ -486,7 +405,6 @@ type study =
   | Table2
   | Ablate
   | Sweep
-  | Micro
   | Oracle
   | Perf
   | Machines
@@ -495,13 +413,13 @@ type study =
 let studies =
   [
     ("all", All); ("table1", Table1); ("table2", Table2); ("ablate", Ablate);
-    ("sweep", Sweep); ("micro", Micro); ("oracle", Oracle); ("perf", Perf);
+    ("sweep", Sweep); ("oracle", Oracle); ("perf", Perf);
     ("machines", Machines); ("rivals", Rivals);
   ]
 
 (* Runs the named studies in a fixed order, whatever order they are
-   named in. [All], or no study at all, runs every study but [Micro] plus
-   the extra kernels; Tables 1 and 2 come from one evaluation. *)
+   named in. [All], or no study at all, runs every study plus the extra
+   kernels; Tables 1 and 2 come from one evaluation. *)
 let run ~full ~quick ~machine ~jobs named =
   let sizes = if full then full_sizes else default_sizes in
   let all = named = [] || List.mem All named in
@@ -513,5 +431,4 @@ let run ~full ~quick ~machine ~jobs named =
   if has Machines then machines_bench sizes ~quick ~machine jobs;
   if has Rivals then rivals_bench sizes ~quick jobs;
   if has Oracle then oracle_overhead sizes;
-  if has Perf then perf sizes ~quick jobs;
-  if List.mem Micro named then micro ()
+  if has Perf then perf sizes ~quick jobs

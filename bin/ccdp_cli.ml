@@ -53,7 +53,8 @@ let n_arg =
 
 let iters_arg =
   Arg.(
-    value & opt int 2
+    value
+    & opt (int_conv ~what:"iteration count" ~expected:"I >= 1" (fun i -> i >= 1)) 2
     & info [ "iters" ] ~docv:"I" ~doc:"Time-loop iterations (TOMCATV/SWIM/Jacobi).")
 
 let width_conv = int_conv ~what:"width" ~expected:"P >= 1" (fun p -> p >= 1)
@@ -268,7 +269,7 @@ let csv_arg =
 (* Tables 1 and 2 render the same evaluation rows *)
 let table_cmd name ~doc table =
   let run ws pes verify csv jobs =
-    let spec = { Ccdp_core.Experiment.default_spec with pes; verify } in
+    let spec = { Ccdp_core.Experiment.pes; verify } in
     let rows = Ccdp_core.Experiment.evaluate ~jobs:(resolve_jobs jobs) ~spec ws in
     if csv then Ccdp_core.Experiment.csv_rows Format.std_formatter rows
     else Ccdp_core.Experiment.print_tbl Format.std_formatter (table rows)
@@ -562,8 +563,8 @@ let bench_cmd =
           ~doc:
             ("The studies to run: "
             ^ doc_alts_enum Bench.studies
-            ^ ". With none, or with $(b,all), every study but $(b,micro) \
-               runs, plus the extra kernels."))
+            ^ ". With none, or with $(b,all), every study runs, plus the \
+               extra kernels."))
   in
   let full_arg =
     Arg.(value & flag & info [ "full" ] ~doc:"Paper-shaped problem sizes (slow).")

@@ -10,6 +10,21 @@ let bound_range b env =
       | Some d -> Some (d.Section.lo, d.Section.hi)
       | None -> None)
 
+(* interval arithmetic over the variables' (lo, hi) ranges, steps
+   ignored; unlike [Section.range_of_affine] an empty range is no reason
+   to give up *)
+let affine_range env e =
+  List.fold_left
+    (fun acc v ->
+      match (acc, List.assoc_opt v env) with
+      | None, _ | _, None -> None
+      | Some (mn, mx), Some (lo, hi, _) ->
+          let c = Affine.coeff e v in
+          if c >= 0 then Some (mn + (c * lo), mx + (c * hi))
+          else Some (mn + (c * hi), mx + (c * lo)))
+    (Some (Affine.const_part e, Affine.const_part e))
+    (Affine.vars e)
+
 let bound_const b env =
   match bound_range b env with
   | Some (lo, hi) when lo = hi -> Some lo

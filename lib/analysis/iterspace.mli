@@ -18,6 +18,11 @@ val of_loops : params:(string * int) list -> Ccdp_ir.Stmt.loop list -> env
     [(min, max)]; [None] when unknown. *)
 val bound_range : Ccdp_ir.Bound.t -> env -> (int * int) option
 
+(** Numeric range [(min, max)] of an affine expression under an
+    environment, by interval arithmetic over each variable's [(lo, hi)];
+    [None] when a variable is unbound (an unresolved or opaque bound). *)
+val affine_range : env -> Ccdp_ir.Affine.t -> (int * int) option
+
 (** Constant value of a bound under an environment ([None] when unknown or
     varying). *)
 val bound_const : Ccdp_ir.Bound.t -> env -> int option

@@ -11,7 +11,6 @@ type tuning = {
   vpg_levels : int;
       (** loop levels a vector prefetch may be pulled out of; the paper
           fixes 1 (Section 4.3.2's modification of Gornish's algorithm) *)
-  latency : int option;
   allow_vpg : bool;
   allow_sp : bool;
   allow_mbp : bool;
@@ -25,7 +24,6 @@ let default_tuning =
     mbp_max_cycles = 4096;
     vpg_max_words = None;
     vpg_levels = 1;
-    latency = None;
     allow_vpg = true;
     allow_sp = true;
     allow_mbp = true;
@@ -47,9 +45,7 @@ let analyze region cfg ?(tuning = default_tuning) infos stale target =
     | Some w -> w
     | None -> cfg.Config.cache_words / 2
   in
-  let latency =
-    match tuning.latency with Some l -> l | None -> cfg.Config.remote
-  in
+  let latency = cfg.Config.remote in
   let classes = Hashtbl.copy target.Target.classes in
   let ops = Hashtbl.create 32 in
   let vectors_of_loop = Hashtbl.create 8 in

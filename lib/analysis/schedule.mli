@@ -19,8 +19,8 @@
     VPG honours the hardware constraints of Section 4.3.1: the pulled
     section must fit the configured fraction of the cache; a write to the
     same array inside the loop forbids pulling (the block would be fetched
-    before the loop's own updates). SP uses Mowry's distance (latency over
-    estimated iteration time) clamped to the tuning range, widened to cover
+    before the loop's own updates). SP uses Mowry's distance (the machine's
+    remote latency over estimated iteration time) clamped to the tuning range, widened to cover
     the group span, and bounded by prefetch-queue occupancy. MBP distances
     below the tuning minimum demote the target to a bypass read.
 
@@ -45,7 +45,6 @@ type tuning = {
           displaced before use. 2 enables the multi-level pull for the
           ablation study (the runtime models the displacement hazard with a
           bounded staging buffer). *)
-  latency : int option;  (** average prefetch latency; default remote *)
   allow_vpg : bool;  (** ablation switches *)
   allow_sp : bool;
   allow_mbp : bool;

@@ -16,20 +16,6 @@ open Ccdp_analysis
    proves triangular patterns like writing columns [k+1..n-1] while
    reading column [k] disjoint. *)
 
-(* numeric range of an affine expression over an iteration-space
-   environment; None when a variable is unresolved *)
-let affine_range env e =
-  List.fold_left
-    (fun acc v ->
-      match (acc, List.assoc_opt v env) with
-      | None, _ | _, None -> None
-      | Some (mn, mx), Some (lo, hi, _) ->
-          let c = Affine.coeff e v in
-          if c >= 0 then Some (mn + (c * lo), mx + (c * hi))
-          else Some (mn + (c * hi), mx + (c * lo)))
-    (Some (Affine.const_part e, Affine.const_part e))
-    (Affine.vars e)
-
 (* Narrow [e] to its extreme values over the instance loops (innermost
    first): each loop variable with a non-zero coefficient is replaced by
    the bound expression that minimizes (resp. maximizes) its term. The
@@ -77,8 +63,8 @@ let dim_test ~var ~trip ~shared_env ~loops_a ~loops_b (ea : Affine.t)
     match (extremes loops_a ea, extremes loops_b eb) with
     | Some (amin, amax), Some (bmin, bmax) -> (
         match
-          ( affine_range shared_env (Affine.sub amin bmax),
-            affine_range shared_env (Affine.sub amax bmin) )
+          ( Iterspace.affine_range shared_env (Affine.sub amin bmax),
+            Iterspace.affine_range shared_env (Affine.sub amax bmin) )
         with
         | Some (dmin, _), Some (_, dmax) when dmin > 0 || dmax < 0 -> Disjoint
         | _ -> Opaque)

@@ -19,34 +19,24 @@ let ccdp_speedup r = float_of_int r.seq_cycles /. float_of_int r.ccdp_cycles
 let improvement r =
   100.0 *. (float_of_int (r.base_cycles - r.ccdp_cycles) /. float_of_int r.base_cycles)
 
-type spec = { pes : int list; verify : bool; tuning : Ccdp_analysis.Schedule.tuning }
+type spec = { pes : int list; verify : bool }
 
-let default_spec =
-  {
-    pes = [ 1; 2; 4; 8; 16; 32; 64 ];
-    verify = true;
-    tuning = Ccdp_analysis.Schedule.default_tuning;
-  }
+let default_spec = { pes = [ 1; 2; 4; 8; 16; 32; 64 ]; verify = true }
 
 (* [jobs]: intra-run shard count for the epoch simulation (see
    Interp.run's [pool]); [None] — the default, and what every table's
    grid tasks use from inside their own pool — runs the serial walk
    without creating any pool. *)
-let run_program ?tuning ?innermost_only ?group_spatial ?prefetch_clean ?machine
-    ?jobs ~n_pes mode program =
+let run_mode ?tuning ?innermost_only ?group_spatial ?prefetch_clean ?machine
+    ?jobs ~n_pes mode (w : Workload.t) =
   let s =
     Pipeline.for_mode ?tuning ?innermost_only ?group_spatial ?prefetch_clean
-      ?machine ~n_pes mode program
+      ?machine ~n_pes mode w.program
   in
   let go ?pool () = Interp.run s.cfg ?pool s.program ~plan:s.plan ~mode () in
   match jobs with
   | Some j when j > 1 -> Pool.with_pool ~jobs:j (fun pool -> go ~pool ())
   | _ -> go ()
-
-let run_mode ?tuning ?innermost_only ?group_spatial ?prefetch_clean ?machine
-    ?jobs ~n_pes mode (w : Workload.t) =
-  run_program ?tuning ?innermost_only ?group_spatial ?prefetch_clean ?machine
-    ?jobs ~n_pes mode w.program
 
 (* Every table is a grid of independent tasks, one per key (a workload, a
    (workload, width or machine) cell, a sweep point). Every Interp.run
@@ -77,7 +67,7 @@ let evaluate ?jobs ?(spec = default_spec) workloads =
              .ok
       in
       let base = run_mode ~n_pes Memsys.Base w in
-      let ccdp = run_mode ~tuning:spec.tuning ~n_pes Memsys.Ccdp w in
+      let ccdp = run_mode ~n_pes Memsys.Ccdp w in
       {
         workload = w.name;
         pes = n_pes;

@@ -29,34 +29,17 @@ val ccdp_speedup : row -> float
     percent (paper Table 2). *)
 val improvement : row -> float
 
-type spec = {
-  pes : int list;
-  verify : bool;
-  tuning : Ccdp_analysis.Schedule.tuning;
-}
+type spec = { pes : int list; verify : bool }
 
 val default_spec : spec
 
-(** Run one program at one machine width under one mode, set up by
-    {!Pipeline.for_mode} (which [tuning], [innermost_only],
+(** Run a workload's program at one machine width under one mode, set up
+    by {!Pipeline.for_mode} (which [tuning], [innermost_only],
     [group_spatial], [prefetch_clean] and [machine] are passed to).
     [jobs > 1] simulates the run's DOALL epochs in that many domain shards
     (intra-run parallelism, see {!Ccdp_runtime.Interp.run}); the default
     runs serially without creating a pool — the simulated result is
     identical either way. *)
-val run_program :
-  ?tuning:Ccdp_analysis.Schedule.tuning ->
-  ?innermost_only:bool ->
-  ?group_spatial:bool ->
-  ?prefetch_clean:bool ->
-  ?machine:(n_pes:int -> Ccdp_machine.Config.t) ->
-  ?jobs:int ->
-  n_pes:int ->
-  Ccdp_runtime.Memsys.mode ->
-  Ccdp_ir.Program.t ->
-  Ccdp_runtime.Interp.result
-
-(** {!run_program} on a workload's program. *)
 val run_mode :
   ?tuning:Ccdp_analysis.Schedule.tuning ->
   ?innermost_only:bool ->

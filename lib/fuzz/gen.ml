@@ -314,20 +314,6 @@ let build (d : desc) =
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* numeric range of an affine subscript over an iteration-space
-   environment; None when a variable is unresolved (opaque bound) *)
-let affine_range env e =
-  List.fold_left
-    (fun acc v ->
-      match (acc, List.assoc_opt v env) with
-      | None, _ | _, None -> None
-      | Some (mn, mx), Some (lo, hi, _) ->
-          let c = Affine.coeff e v in
-          if c >= 0 then Some (mn + (c * lo), mx + (c * hi))
-          else Some (mn + (c * hi), mx + (c * lo)))
-    (Some (Affine.const_part e, Affine.const_part e))
-    (Affine.vars e)
-
 (* every reference whose subscript ranges resolve must stay inside its
    array's extents; opaque-bound loops widen to unknown and are skipped
    (the interpreter still bounds-checks those at run time) *)
@@ -339,7 +325,7 @@ let subscript_problems (p : Program.t) =
     | Some decl ->
         Array.iteri
           (fun k e ->
-            match affine_range env e with
+            match Ccdp_analysis.Iterspace.affine_range env e with
             | None -> ()
             | Some (lo, hi) ->
                 let extent = decl.Array_decl.dims.(k) in

@@ -410,7 +410,8 @@ let classify env ln toks =
       let dims = ref [] in
       let dim () =
         match peek st with
-        | Some (INT d) -> advance st; d
+        | Some (INT d) when d >= 1 -> advance st; d
+        | Some (INT _) -> fail_at st "array dimension must be at least 1"
         | _ -> fail_at st "expected dimension"
       in
       dims := [ dim () ];

@@ -1,4 +1,4 @@
-(** Set-associative write-through data cache holding real values.
+(** Direct-mapped write-through data cache holding real values.
 
     The cache stores the floating-point payload of every resident line, not
     just tags: a stale line therefore returns the {e old value}, which is
@@ -8,24 +8,23 @@
     no-op and only cached {e read} copies can go stale.
 
     Addresses are global word addresses; a line address is
-    [addr / line_words]. *)
+    [addr / line_words], and its only slot is [line mod sets] (the T3D's
+    EV4 data cache is direct-mapped). *)
 
 type t
 
-val create : sets:int -> assoc:int -> line_words:int -> t
+val create : sets:int -> line_words:int -> t
 
 (** Convenience constructor from a machine config. *)
 val of_config : Config.t -> t
 
 val line_words : t -> int
 
-(** [read t ~addr] returns the cached value, or [None] on a miss. Updates
-    recency. *)
+(** [read t ~addr] returns the cached value, or [None] on a miss. *)
 val read : t -> addr:int -> float option
 
 (** Allocation-free hit probe: the data-array offset of the addressed word
-    (pass it to {!data_at}), or [-1] on a miss. Updates recency on a hit,
-    exactly as {!read} does. *)
+    (pass it to {!data_at}), or [-1] on a miss. *)
 val locate : t -> addr:int -> int
 
 (** [data_at t off dst k] copies the payload word at an offset returned by
@@ -34,12 +33,12 @@ val locate : t -> addr:int -> int
     invalidation. *)
 val data_at : t -> int -> float array -> int -> unit
 
-(** Hit test without recency update. *)
+(** Hit test. *)
 val probe_line : t -> line:int -> bool
 
-(** Install a line (payload must have length [line_words]); evicts the
-    least-recently-used way of the set. Returns the evicted line address, if
-    a valid line was displaced. [tick] stamps the fill time for
+(** Install a line (payload must have length [line_words]) in its slot.
+    Returns the evicted line address, if a different valid line was
+    displaced. [tick] stamps the fill time for
     timestamp-based (HSCD) self-invalidation checks. [vers] stamps the
     per-word version tags of the payload (the staleness oracle compares
     them against memory's write versions); absent, the tags reset to 0.
@@ -54,9 +53,8 @@ val fill :
     (memory itself), avoiding the [Array.sub] copy {!fill} requires. [vers]
     are per-word version stamps read at the same [pos]; pass [[||]] to reset
     the stamps to 0. [tick] and [state] are {!fill}'s, passed every time
-    (an optional argument would allocate its [Some]). Same replacement
-    policy as {!fill} (resident slot reused, else true LRU way); the
-    displaced line is reported through
+    (an optional argument would allocate its [Some]). Same slot as
+    {!fill}; the displaced line is reported through
     {!last_evicted_line}/{!last_evicted_state} rather than a return value,
     keeping the common path allocation-free. *)
 val fill_from :
@@ -72,14 +70,12 @@ val last_evicted_line : t -> int
     a [Coherence.modified] victim owes the protocol a write-back. *)
 val last_evicted_state : t -> int
 
-(** Protocol state of a resident line, [Coherence.invalid] (0) on a miss.
-    No recency update — snooping other PEs' caches must not perturb their
-    LRU order. *)
+(** Protocol state of a resident line, [Coherence.invalid] (0) on a miss. *)
 val line_state : t -> line:int -> int
 
-(** Set a resident line's protocol state (no-op on a miss, no recency
-    update) — remote-initiated downgrades (M->S on a bus read, E->S on a
-    sharing fetch). *)
+(** Set a resident line's protocol state (no-op on a miss) —
+    remote-initiated downgrades (M->S on a bus read, E->S on a sharing
+    fetch). *)
 val set_line_state : t -> line:int -> int -> unit
 
 (** Fill-time stamp of a resident line ([-1] on a miss; fill ticks are
@@ -94,8 +90,8 @@ val fill_tick : t -> line:int -> int
     word's version tag with the write's version ([-1] keeps the tag). *)
 val update_if_present : t -> mem:float array -> addr:int -> ver:int -> unit
 
-(** Version tag of a resident word without recency update ([-1] on a
-    miss; tags are never negative). The staleness oracle asserts this is
+(** Version tag of a resident word ([-1] on a miss; tags are never
+    negative). The staleness oracle asserts this is
     no older than the last write to the address that completed before the
     current epoch. *)
 val word_version : t -> addr:int -> int
@@ -105,7 +101,3 @@ val invalidate_all : t -> unit
 
 (** Number of valid lines (tests/introspection). *)
 val valid_lines : t -> int
-
-(** Cached value of an address without recency update ([None] if absent) —
-    used by the coherence checker to inspect residual stale copies. *)
-val peek : t -> addr:int -> float option

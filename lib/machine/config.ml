@@ -3,7 +3,6 @@ type t = {
   cluster_pes : int;
   cache_words : int;
   line_words : int;
-  assoc : int;
   prefetch_queue_words : int;
   annex_entries : int;
   hit : int;
@@ -35,7 +34,6 @@ let t3d ~n_pes =
     cluster_pes = 1;
     cache_words = 1024 (* 8 KB of 64-bit words *);
     line_words = 4 (* 32-byte lines *);
-    assoc = 1 (* direct-mapped EV4 *);
     prefetch_queue_words = 16;
     annex_entries = 32;
     hit = 3;
@@ -67,7 +65,6 @@ let tiny ~n_pes =
     cluster_pes = 1;
     cache_words = 64;
     line_words = 4;
-    assoc = 1;
     prefetch_queue_words = 8;
     annex_entries = 4;
     hit = 1;
@@ -182,12 +179,10 @@ let validate t =
   if t.n_pes > 0 && t.cluster_pes > 0 then
     check (t.n_pes mod t.cluster_pes = 0) "cluster_pes must divide n_pes";
   check (t.line_words > 0) "line_words must be positive";
-  check (t.assoc > 0) "assoc must be positive";
-  if t.line_words > 0 && t.assoc > 0 then begin
+  if t.line_words > 0 then begin
     check (t.cache_words >= t.line_words) "cache smaller than one line";
     check (t.cache_words mod t.line_words = 0)
-      "cache_words not a multiple of line_words";
-    check (lines t mod t.assoc = 0) "lines not a multiple of assoc"
+      "cache_words not a multiple of line_words"
   end;
   check (t.prefetch_queue_words >= 0) "prefetch_queue_words must be >= 0";
   check (t.remote >= t.local) "remote latency below local latency";
@@ -217,7 +212,7 @@ let pp ppf t =
   Format.fprintf ppf
     "@[<v>machine: %d PEs (clusters of %d)@,\
      network: %s hop=%d link-occ=%d bus-occ=%d@,\
-     cache: %d words, %d-word lines, %d-way@,\
+     cache: %d words, %d-word lines@,\
      prefetch queue: %d words; annex: %d entries@,\
      latency: hit=%d local=%d/%d remote=%d store=%d/%d@,\
      prefetch: issue=%d extract=%d annex=%d vget=%d+%d/word@,\
@@ -225,7 +220,7 @@ let pp ppf t =
     t.n_pes t.cluster_pes (Net.kind_name t.net) t.hop t.link_occ t.bus_occ
     t.cache_words
     t.line_words
-    t.assoc t.prefetch_queue_words t.annex_entries t.hit t.local
+    t.prefetch_queue_words t.annex_entries t.hit t.local
     t.uncached_local t.remote t.store_local t.store_remote t.pf_issue
     t.pf_extract t.annex_setup t.vget_startup t.vget_per_word (barrier_cost t)
     t.flop t.loop_overhead t.lock_acquire t.lock_release

@@ -13,7 +13,7 @@
     link-occupancy model charges queueing delay at contended links.
 
     The prefetch scheduling algorithm consumes [cache_words],
-    [prefetch_queue_words], [max_outstanding] and [avg_prefetch_latency]
+    [prefetch_queue_words] and [remote] as the average prefetch latency
     (paper Section 4.3.1's "important hardware constraints"); the runtime
     charges the per-operation costs. *)
 
@@ -28,7 +28,6 @@ type t = {
   (* cache *)
   cache_words : int;  (** data cache capacity, 64-bit words *)
   line_words : int;  (** cache line size, 64-bit words *)
-  assoc : int;  (** 1 = direct-mapped *)
   (* prefetch engine *)
   prefetch_queue_words : int;  (** prefetch queue capacity, words *)
   annex_entries : int;  (** DTB Annex translation slots *)

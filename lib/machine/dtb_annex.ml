@@ -23,5 +23,4 @@ let touch t pe =
   end;
   hit
 
-let clear t = t.n <- 0
 let resident t = Array.to_list (Array.sub t.slots 0 t.n)

@@ -17,7 +17,5 @@ val create : entries:int -> t
     (no set-up cost); inserts/refreshes it either way. *)
 val touch : t -> int -> bool
 
-val clear : t -> unit
-
 (** The resident PEs, most recently touched first. *)
 val resident : t -> int list

@@ -25,5 +25,3 @@ let total_stats t =
   Array.fold_left
     (fun acc (p : Pe.t) -> Stats.merge acc p.Pe.stats)
     (Stats.create ()) t.pes
-
-let reset t = Array.iter Pe.reset t.pes

@@ -15,5 +15,3 @@ val time : t -> int
 
 (** Machine-wide counter totals. *)
 val total_stats : t -> Stats.t
-
-val reset : t -> unit

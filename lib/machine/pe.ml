@@ -20,10 +20,3 @@ let create (cfg : Config.t) id =
 let advance t cycles =
   if cycles < 0 then invalid_arg "Pe.advance: negative cycles";
   t.clock <- t.clock + cycles
-
-let reset t =
-  t.clock <- 0;
-  Cache.invalidate_all t.cache;
-  ignore (Prefetch_queue.clear t.queue);
-  Dtb_annex.clear t.annex;
-  Stats.reset t.stats

@@ -13,6 +13,3 @@ val create : Config.t -> int -> t
 
 (** Advance the clock by a (non-negative) number of cycles. *)
 val advance : t -> int -> unit
-
-(** Reset clock, cache, queue, annex and stats (fresh run). *)
-val reset : t -> unit

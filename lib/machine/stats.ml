@@ -69,40 +69,6 @@ let create () =
     lock_stall_cycles = 0;
   }
 
-let reset t =
-  t.reads <- 0;
-  t.writes <- 0;
-  t.hits <- 0;
-  t.miss_local <- 0;
-  t.miss_remote <- 0;
-  t.uncached_local <- 0;
-  t.uncached_remote <- 0;
-  t.bypass_reads <- 0;
-  t.pf_issued <- 0;
-  t.pf_vector <- 0;
-  t.pf_vector_words <- 0;
-  t.pf_on_time <- 0;
-  t.pf_late <- 0;
-  t.pf_late_cycles <- 0;
-  t.pf_dropped <- 0;
-  t.pf_unused <- 0;
-  t.pf_evicted <- 0;
-  t.annex_hits <- 0;
-  t.annex_misses <- 0;
-  t.invalidations <- 0;
-  t.upgrades <- 0;
-  t.dir_msgs <- 0;
-  t.bus_conflicts <- 0;
-  t.cluster_hits <- 0;
-  t.cluster_inter <- 0;
-  t.barriers <- 0;
-  t.flop_cycles <- 0;
-  t.stall_cycles <- 0;
-  t.link_conflicts <- 0;
-  t.link_occ_max <- 0;
-  t.lock_acquires <- 0;
-  t.lock_stall_cycles <- 0
-
 let merge a b =
   {
     reads = a.reads + b.reads;

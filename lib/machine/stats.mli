@@ -62,7 +62,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 (** Elementwise sum (machine-wide totals); [barriers] and [link_occ_max]
     merge with [max]. *)

@@ -47,15 +47,6 @@ let base t name =
   | b -> b
   | exception Not_found -> invalid_arg ("Addr_map: unknown array " ^ name)
 
-let resolve t ~pe name idx =
-  let lay = layout t name in
-  let off = base t name + Ccdp_craft.Layout.local_offset lay idx in
-  match Ccdp_craft.Layout.owner lay idx with
-  | `Local -> ((pe * t.span) + off, `Local)
-  | `Pe owner ->
-      if owner = pe then ((pe * t.span) + off, `Local)
-      else ((owner * t.span) + off, `Remote owner)
-
 (* Pre-resolved per-array handle: one layout + base lookup at compile time,
    then every access is pure arithmetic. Because each array's offsets stay
    inside [base, base + aligned per-PE words) and the windows tile the

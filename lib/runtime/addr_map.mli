@@ -29,11 +29,6 @@ val layout : t -> string -> Ccdp_craft.Layout.t
 (** Offset of an array's first word inside every PE's window. *)
 val base : t -> string -> int
 
-(** Address of an element and its location relative to the accessing PE.
-    Replicated/private arrays resolve to the accessing PE's own copy. *)
-val resolve :
-  t -> pe:int -> string -> int array -> int * [ `Local | `Remote of int ]
-
 (** {1 Pre-resolved handles (hot path)}
 
     A handle captures one array's layout and base so the per-access path is
@@ -43,13 +38,13 @@ type handle
 
 val handle : t -> string -> handle
 
-(** Address of an element as seen from [pe] — same address [resolve]
-    computes, without the target component. *)
+(** Address of an element as seen from [pe]: a distributed element lives in
+    its owner's window, a replicated or private one in [pe]'s own. *)
 val resolve_h : handle -> pe:int -> int array -> int
 
 (** Target encoding recovered from an address produced by [resolve_h] on the
-    same [pe]: [-1] when the access is to the PE's own window (the [`Local]
-    cases of [resolve]), else the owning PE id ([`Remote owner]). *)
+    same [pe]: [-1] when the access is to the PE's own window (a replicated
+    or private element, or one [pe] owns), else the owning PE id. *)
 val target_of : handle -> pe:int -> addr:int -> int
 
 (** Addresses of an element in {e every} copy (one for distributed arrays,

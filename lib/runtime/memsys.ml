@@ -1647,7 +1647,7 @@ let stale_cached_words t =
   Array.iter
     (fun ctx ->
       for addr = 0 to Array.length t.mem - 1 do
-        match Cache.peek ctx.pe.Pe.cache ~addr with
+        match Cache.read ctx.pe.Pe.cache ~addr with
         | Some v when v <> t.mem.(addr) -> incr count
         | Some _ | None -> ()
       done)

@@ -18,7 +18,7 @@ type report = {
    index advanced column-major in place (the order [point_of_linear]
    enumerates), and the PE-0 address as the canonical copy — the owner's
    for distributed data, PE 0's for replicated data, as [Memsys.get]. *)
-let compare_states ?(tol = 0.0) ?(max_report = 5) ~expected ~got
+let compare_states ?(max_report = 5) ~expected ~got
     (program : Program.t) =
   let ew = Memsys.words expected and gw = Memsys.words got in
   let checked = ref 0 in
@@ -38,9 +38,9 @@ let compare_states ?(tol = 0.0) ?(max_report = 5) ~expected ~got
           incr checked;
           let d = abs_float (e -. g) in
           if d > !max_diff then max_diff := d;
-          (* a NaN on exactly one side differs by NaN, which no tolerance
-             comparison catches; NaN on both sides is agreement *)
-          if d > tol || Float.is_nan e <> Float.is_nan g then begin
+          (* a NaN on exactly one side differs by NaN, which [d > 0.0]
+             does not catch; NaN on both sides is agreement *)
+          if d > 0.0 || Float.is_nan e <> Float.is_nan g then begin
             if !bad < max_report then
               mismatches :=
                 {
@@ -68,10 +68,10 @@ let compare_states ?(tol = 0.0) ?(max_report = 5) ~expected ~got
     max_abs_diff = !max_diff;
   }
 
-let against_sequential ?tol (program : Program.t) ~init (r : Interp.result) =
+let against_sequential (program : Program.t) ~init (r : Interp.result) =
   let program = if program.Program.procs = [] then program else Program.inline program in
   let expected = Seq_oracle.run (Memsys.cfg r.Interp.sys) program ~init () in
-  compare_states ?tol ~expected ~got:r.Interp.sys program
+  compare_states ~expected ~got:r.Interp.sys program
 
 let pp_report ppf r =
   if r.ok then Format.fprintf ppf "verification OK (%d elements)" r.checked

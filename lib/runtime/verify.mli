@@ -23,19 +23,17 @@ type report = {
 }
 
 (** Compare every element of every shared array between two final states
-    (each read at its canonical copy, as {!Memsys.get}). [tol] is an
-    absolute tolerance (default 0: exact). A NaN on exactly one side is a
-    mismatch whatever [tol]; NaN on both sides agrees. The walk allocates
-    nothing per element. *)
+    (each read at its canonical copy, as {!Memsys.get}), exactly. A NaN on
+    exactly one side is a mismatch; NaN on both sides agrees. The walk
+    allocates nothing per element. *)
 val compare_states :
-  ?tol:float -> ?max_report:int -> expected:Memsys.t -> got:Memsys.t ->
+  ?max_report:int -> expected:Memsys.t -> got:Memsys.t ->
   Ccdp_ir.Program.t -> report
 
 (** Compare the given result against the program's sequential execution
     from the same [init]: the value-only {!Seq_oracle} on the result's
     machine configuration (one PE). *)
 val against_sequential :
-  ?tol:float ->
   Ccdp_ir.Program.t ->
   init:(Memsys.t -> unit) ->
   Interp.result ->

@@ -11,9 +11,7 @@ open Ccdp_workloads
 
 let () =
   let ws = Suite.spec_four ~n:16 ~iters:1 () in
-  let spec =
-    { Experiment.default_spec with Experiment.pes = [ 1; 4 ]; verify = true }
-  in
+  let spec = { Experiment.pes = [ 1; 4 ]; verify = true } in
   let rows = Experiment.evaluate ~jobs:4 ~spec ws in
   let ppf = Format.std_formatter in
   Experiment.print_tbl ppf (Experiment.table1 rows);

@@ -7,7 +7,7 @@
    125 a bug. Regenerate with `dune runtest`, accept intentional changes
    with `dune promote`. *)
 
-let cases ~heat2d ~malformed =
+let cases ~heat2d ~malformed ~zerodim =
   [
     (* a size one suite workload rejects, or no size at all *)
     ([], [ "list"; "-n"; "6" ]);
@@ -21,6 +21,8 @@ let cases ~heat2d ~malformed =
     ([], [ "table1"; "-n"; "0" ]);
     ([], [ "run"; "mxm"; "-n"; "0" ]);
     ([], [ "run"; "mxm"; "--pe"; "0" ]);
+    ([], [ "run"; "tomcatv"; "--iters"; "0" ]);
+    ([], [ "list"; "--iters=-1" ]);
     ([], [ "fuzz"; "--count=-1" ]);
     (* job counts outside 1..128, from a flag or the environment *)
     ([], [ "table1"; "-j"; "0" ]);
@@ -31,6 +33,7 @@ let cases ~heat2d ~malformed =
     ([], [ "bench"; "-j"; "x"; "table1" ]);
     (* unknown names and missing files *)
     ([], [ "bench"; "tabel1" ]);
+    ([], [ "bench"; "micro" ]);
     ([], [ "bench"; "--machine"; "nosuch" ]);
     ([], [ "run"; "nosuch" ]);
     ([], [ "check"; "nosuch" ]);
@@ -39,6 +42,9 @@ let cases ~heat2d ~malformed =
     (* a malformed CRAFT file, through both readers *)
     ([], [ "load"; malformed ]);
     ([], [ "check"; malformed ]);
+    (* a zero-size array dimension, through both readers *)
+    ([], [ "load"; zerodim ]);
+    ([], [ "check"; zerodim ]);
   ]
 
 (* the inherited environment, minus the variables a case may set *)
@@ -83,5 +89,5 @@ let run ccdp (env, args) =
 
 let () =
   let ccdp = Sys.argv.(1) and heat2d = Sys.argv.(2) in
-  let malformed = Sys.argv.(3) in
-  List.iter (run ccdp) (cases ~heat2d ~malformed)
+  let malformed = Sys.argv.(3) and zerodim = Sys.argv.(4) in
+  List.iter (run ccdp) (cases ~heat2d ~malformed ~zerodim)

@@ -15,23 +15,31 @@ let program () =
 
 let map () = Addr_map.make (program ()) ~n_pes:4 ~line_words:4 ()
 
+(* an element's address as [pe] sees it, through the handle path the
+   simulator uses, and its target: -1 for the PE's own window, otherwise
+   the owner's id *)
+let resolve m ~pe name idx =
+  let h = Addr_map.handle m name in
+  let a = Addr_map.resolve_h h ~pe idx in
+  (a, Addr_map.target_of h ~pe ~addr:a)
+
 let tests =
   [
     case "resolve distributed: owner-local vs remote" (fun () ->
         let m = map () in
-        let _, w = Addr_map.resolve m ~pe:0 "A" [| 0; 0 |] in
-        check_true "local" (w = `Local);
-        let _, w = Addr_map.resolve m ~pe:0 "A" [| 0; 7 |] in
-        check_true "remote to 3" (w = `Remote 3));
+        let _, w = resolve m ~pe:0 "A" [| 0; 0 |] in
+        check_true "local" (w = -1);
+        let _, w = resolve m ~pe:0 "A" [| 0; 7 |] in
+        check_true "remote to 3" (w = 3));
     case "remote addresses live in the owner's window" (fun () ->
         let m = map () in
-        let a, _ = Addr_map.resolve m ~pe:0 "A" [| 0; 7 |] in
+        let a, _ = resolve m ~pe:0 "A" [| 0; 7 |] in
         check_true "window" (a >= 3 * Addr_map.pe_span m && a < 4 * Addr_map.pe_span m));
     case "replicated arrays resolve locally on every PE" (fun () ->
         let m = map () in
-        let a0, w0 = Addr_map.resolve m ~pe:0 "R" [| 3 |] in
-        let a2, w2 = Addr_map.resolve m ~pe:2 "R" [| 3 |] in
-        check_true "local both" (w0 = `Local && w2 = `Local);
+        let a0, w0 = resolve m ~pe:0 "R" [| 3 |] in
+        let a2, w2 = resolve m ~pe:2 "R" [| 3 |] in
+        check_true "local both" (w0 = -1 && w2 = -1);
         check_true "different copies" (a0 <> a2));
     case "all_copies of replicated lists one per PE" (fun () ->
         let m = map () in
@@ -40,7 +48,7 @@ let tests =
     case "canonical picks the owner copy" (fun () ->
         let m = map () in
         let c = Addr_map.canonical m "A" [| 0; 5 |] in
-        let a, _ = Addr_map.resolve m ~pe:2 "A" [| 0; 5 |] in
+        let a, _ = resolve m ~pe:2 "A" [| 0; 5 |] in
         check_int "owner copy" a c);
     case "distinct elements get distinct addresses" (fun () ->
         let m = map () in
@@ -57,7 +65,7 @@ let tests =
         for i = 0 to 7 do
           for j = 0 to 7 do
             for pe = 0 to 3 do
-              let a, _ = Addr_map.resolve m ~pe "A" [| i; j |] in
+              let a, _ = resolve m ~pe "A" [| i; j |] in
               check_true "bounded" (a >= 0 && a < Addr_map.total_words m)
             done
           done
@@ -85,9 +93,9 @@ let round_trips =
           for j = 0 to 7 do
             let c = Addr_map.canonical m "A" [| i; j |] in
             let owner = c / Addr_map.pe_span m in
-            let a, w = Addr_map.resolve m ~pe:owner "A" [| i; j |] in
+            let a, w = resolve m ~pe:owner "A" [| i; j |] in
             check_int "same address" c a;
-            check_true "owner is local" (w = `Local)
+            check_true "owner is local" (w = -1)
           done
         done);
     case "resolve lands in all_copies for every PE" (fun () ->
@@ -96,7 +104,7 @@ let round_trips =
           (fun (name, idx) ->
             let copies = Addr_map.all_copies m name idx in
             for pe = 0 to 3 do
-              let a, _ = Addr_map.resolve m ~pe name idx in
+              let a, _ = resolve m ~pe name idx in
               check_true "member" (List.mem a copies)
             done)
           [ ("A", [| 2; 5 |]); ("R", [| 3 |]); ("Pv", [| 6 |]) ]);
@@ -104,13 +112,12 @@ let round_trips =
         let m = map () in
         for pe = 0 to 3 do
           for j = 0 to 7 do
-            let a, w = Addr_map.resolve m ~pe "A" [| 1; j |] in
-            match w with
-            | `Local ->
-                check_int "local window" pe (a / Addr_map.pe_span m)
-            | `Remote owner ->
-                check_int "remote window" owner (a / Addr_map.pe_span m);
-                check_false "never self" (owner = pe)
+            let a, w = resolve m ~pe "A" [| 1; j |] in
+            if w = -1 then check_int "local window" pe (a / Addr_map.pe_span m)
+            else begin
+              check_int "remote window" w (a / Addr_map.pe_span m);
+              check_false "never self" (w = pe)
+            end
           done
         done);
     case "array bases are line-aligned in every window" (fun () ->

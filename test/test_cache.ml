@@ -1,8 +1,7 @@
 open Ccdp_machine
 open Ccdp_test_support.Tutil
 
-let mk ?(sets = 8) ?(assoc = 1) ?(line_words = 4) () =
-  Cache.create ~sets ~assoc ~line_words
+let mk ?(sets = 8) ?(line_words = 4) () = Cache.create ~sets ~line_words
 
 let payload v = Array.make 4 v
 
@@ -26,19 +25,6 @@ let basic =
         ignore (Cache.fill c ~line:1 (payload 1.0));
         check_true "none" (Cache.fill c ~line:1 (payload 3.0) = None);
         check_true "updated" (Cache.read c ~addr:4 = Some 3.0));
-    case "2-way associativity holds two conflicting lines" (fun () ->
-        let c = mk ~sets:4 ~assoc:2 () in
-        ignore (Cache.fill c ~line:0 (payload 1.0));
-        ignore (Cache.fill c ~line:4 (payload 2.0));
-        check_true "both" (Cache.read c ~addr:0 = Some 1.0 && Cache.read c ~addr:16 = Some 2.0));
-    case "LRU victim selection in a 2-way set" (fun () ->
-        let c = mk ~sets:4 ~assoc:2 () in
-        ignore (Cache.fill c ~line:0 (payload 1.0));
-        ignore (Cache.fill c ~line:4 (payload 2.0));
-        ignore (Cache.read c ~addr:0);
-        (* line 0 is now most recent; filling line 8 must evict line 4 *)
-        check_true "evicts 4" (Cache.fill c ~line:8 (payload 3.0) = Some 4);
-        check_true "line 0 kept" (Cache.read c ~addr:0 = Some 1.0));
     case "update_if_present patches only resident lines" (fun () ->
         let c = mk () in
         let mem = Array.make 4 9.0 in
@@ -62,13 +48,6 @@ let basic =
         ignore (Cache.fill c ~line:1 (payload 2.0));
         Cache.invalidate_all c;
         check_int "valid" 0 (Cache.valid_lines c));
-    case "peek does not disturb recency" (fun () ->
-        let c = mk ~sets:4 ~assoc:2 () in
-        ignore (Cache.fill c ~line:0 (payload 1.0));
-        ignore (Cache.fill c ~line:4 (payload 2.0));
-        ignore (Cache.peek c ~addr:0);
-        (* peek must NOT have promoted line 0: LRU is still line 0 *)
-        check_true "evicts 0" (Cache.fill c ~line:8 (payload 3.0) = Some 0));
     case "of_config matches the machine geometry" (fun () ->
         let cfg = Config.t3d ~n_pes:1 in
         let c = Cache.of_config cfg in
@@ -91,50 +70,37 @@ let props =
         Cache.valid_lines c <= 8);
   ]
 
-(* Model-based replacement-policy properties: a naive association-list
-   cache (front of each set = most recently used) must agree with the
-   real one on every hit, every eviction tag, slot reuse on refill, and
-   final occupancy — for fill and for the blit-based fill_from alike. *)
+(* Model-based replacement properties: a naive model holding at most one
+   line per set must agree with the real cache on every hit, every
+   eviction tag, slot reuse on refill, and final occupancy — for fill and
+   for the blit-based fill_from alike. *)
 
 let model_sets = 4
-let model_assoc = 2
 
 (* replay [ops] on the model; returns (eviction tags, read results,
    resident-line count), in op order *)
 let run_model ops =
-  let sets = Array.make model_sets [] in
+  let sets = Array.make model_sets None in
   let evs = ref [] and rds = ref [] in
   List.iter
     (fun (is_fill, line) ->
       let s = line mod model_sets in
-      let cur = sets.(s) in
-      if is_fill then
-        if List.mem_assoc line cur then begin
-          (* resident: slot reuse — promote, never evict *)
-          sets.(s) <- (line, float_of_int line) :: List.remove_assoc line cur;
-          evs := None :: !evs
-        end
-        else if List.length cur < model_assoc then begin
-          sets.(s) <- (line, float_of_int line) :: cur;
-          evs := None :: !evs
-        end
-        else begin
-          let victim, _ = List.nth cur (List.length cur - 1) in
-          sets.(s) <-
-            (line, float_of_int line)
-            :: List.filter (fun (l, _) -> l <> victim) cur;
-          evs := Some victim :: !evs
-        end
+      if is_fill then begin
+        (* a resident line reuses its slot: no eviction *)
+        let ev =
+          match sets.(s) with Some l when l <> line -> Some l | _ -> None
+        in
+        evs := ev :: !evs;
+        sets.(s) <- Some line
+      end
       else
-        match List.assoc_opt line cur with
-        | Some v ->
-            sets.(s) <- (line, v) :: List.remove_assoc line cur;
-            rds := Some v :: !rds
-        | None -> rds := None :: !rds)
+        rds :=
+          (if sets.(s) = Some line then Some (float_of_int line) else None)
+          :: !rds)
     ops;
   ( List.rev !evs,
     List.rev !rds,
-    Array.fold_left (fun n l -> n + List.length l) 0 sets )
+    Array.fold_left (fun n l -> if l = None then n else n + 1) 0 sets )
 
 let ops_arb =
   QCheck.(
@@ -145,7 +111,7 @@ let fill_props =
     qcheck "fill agrees with a naive LRU model (hits, evictions, occupancy)"
       ops_arb
       (fun ops ->
-        let c = mk ~sets:model_sets ~assoc:model_assoc () in
+        let c = mk ~sets:model_sets () in
         let m_evs, m_rds, m_n = run_model ops in
         let evs = ref [] and rds = ref [] in
         List.iter
@@ -159,8 +125,8 @@ let fill_props =
     qcheck "fill_from follows the same policy; locate/data_at match read"
       ops_arb
       (fun ops ->
-        let c = mk ~sets:model_sets ~assoc:model_assoc () in
-        let c' = mk ~sets:model_sets ~assoc:model_assoc () in
+        let c = mk ~sets:model_sets () in
+        let c' = mk ~sets:model_sets () in
         (* simulated memory: every word of line l holds float l *)
         let mem = Array.init (12 * 4) (fun i -> float_of_int (i / 4)) in
         let word = [| 0.0 |] in

@@ -114,8 +114,7 @@ let pool_tests =
 
 (* ---- determinism of the rewired grids ------------------------------ *)
 
-let small_spec =
-  { Experiment.default_spec with Experiment.pes = [ 1; 4 ]; verify = true }
+let small_spec = { Experiment.pes = [ 1; 4 ]; verify = true }
 
 let small_ws () = [ Extras.jacobi ~n:12 ~iters:2; Extras.triad ~n:12 ]
 

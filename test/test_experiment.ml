@@ -2,8 +2,7 @@ open Ccdp_workloads
 open Ccdp_core
 open Ccdp_test_support.Tutil
 
-let small_spec =
-  { Experiment.default_spec with Experiment.pes = [ 1; 4 ]; verify = true }
+let small_spec = { Experiment.pes = [ 1; 4 ]; verify = true }
 
 let rows () = Experiment.evaluate ~spec:small_spec [ Extras.jacobi ~n:12 ~iters:2 ]
 
@@ -77,10 +76,17 @@ let ablations =
         let w = Extras.jacobi ~n:12 ~iters:2 in
         List.iter
           (fun tuning ->
-            let spec = { small_spec with Experiment.tuning } in
             List.iter
-              (fun (r : Experiment.row) -> check_true "ok" r.Experiment.ccdp_ok)
-              (Experiment.evaluate ~spec [ w ]))
+              (fun n_pes ->
+                let r =
+                  Experiment.run_mode ~tuning ~n_pes Ccdp_runtime.Memsys.Ccdp w
+                in
+                let v =
+                  Ccdp_runtime.Verify.against_sequential w.Workload.program
+                    ~init:(fun _ -> ()) r
+                in
+                check_true "ok" v.Ccdp_runtime.Verify.ok)
+              small_spec.Experiment.pes)
           Ccdp_analysis.Schedule.
             [
               { default_tuning with allow_vpg = false };

@@ -159,6 +159,16 @@ let error_positions =
         in
         check_int "line" 4 (fst (position src));
         check_int "col" 13 (snd (position src)));
+    case "a zero-size dimension is rejected at its token" (fun () ->
+        (*                                 1234567890123456789 *)
+        let src = "      PROGRAM X\n      REAL*8 A(4, 0)\n      END\n" in
+        match Craft_parse.program src with
+        | _ -> Alcotest.fail "expected a parse error"
+        | exception Craft_parse.Error (ln, col, msg) ->
+            check_int "line" 2 ln;
+            check_int "col" 19 col;
+            Alcotest.(check string)
+              "message" "array dimension must be at least 1" msg);
     case "structural failures use column 0" (fun () ->
         let src =
           "      PROGRAM X\n      REAL*8 A(4)\n      DO I = 0, 3\n      A(I) \

@@ -10,9 +10,7 @@ open Ccdp_test_support.Tutil
 
 let rows =
   lazy
-    (let spec =
-       { Experiment.default_spec with Experiment.pes = [ 4; 16 ]; verify = true }
-     in
+    (let spec = { Experiment.pes = [ 4; 16 ]; verify = true } in
      Experiment.evaluate ~spec (Suite.spec_four ~n:48 ~iters:2 ()))
 
 let at name pes =
