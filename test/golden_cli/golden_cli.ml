@@ -14,19 +14,26 @@ let cases ~heat2d ~malformed ~zerodim =
     ([], [ "table1"; "-n"; "10"; "--pes"; "1" ]);
     ([], [ "table2"; "--spec-four"; "-n"; "10"; "--pes"; "1" ]);
     ([], [ "ablate"; "-n"; "10" ]);
+    ([], [ "bench"; "table1"; "-n"; "10"; "--pes"; "1" ]);
+    ([], [ "bench"; "ablate"; "-n"; "10" ]);
     ([], [ "check"; "--all"; "-n"; "10" ]);
     (* checks no suite workload, so certifies *)
     ([], [ "check"; heat2d; "-n"; "10" ]);
     ([], [ "list"; "-n"; "0" ]);
     ([], [ "table1"; "-n"; "0" ]);
+    ([], [ "bench"; "-n"; "0" ]);
     ([], [ "run"; "mxm"; "-n"; "0" ]);
     ([], [ "run"; "mxm"; "--pe"; "0" ]);
+    ([], [ "bench"; "--pes"; "0" ]);
+    ([], [ "bench"; "--pe"; "0" ]);
     ([], [ "run"; "tomcatv"; "--iters"; "0" ]);
     ([], [ "list"; "--iters=-1" ]);
     ([], [ "fuzz"; "--count=-1" ]);
     (* job counts outside 1..128, from a flag or the environment *)
     ([], [ "table1"; "-j"; "0" ]);
     ([], [ "table1"; "-j"; "129" ]);
+    ([], [ "bench"; "-j"; "0" ]);
+    ([], [ "bench"; "-j"; "129" ]);
     ([], [ "fuzz"; "--shards"; "0" ]);
     ([], [ "fuzz"; "--shards"; "129" ]);
     ([ "CCDP_SHARDS=0" ], [ "fuzz" ]);
