@@ -17,17 +17,21 @@
      ccdp bench machines --machine t3d-mesh
                                      -- interconnect sweep, one preset
      ccdp bench rivals --quick       -- hardware-coherence rivals
-     ccdp bench all --full           -- paper-shaped sizes (slow)
+     ccdp bench all -n 128 --iters 3 --pe 32
+                                     -- paper-shaped sizes (slow)
+     ccdp bench table1 -n 32 --pes 1,4,16
+                                     -- Tables 1 and 2, smaller
      ccdp bench table1 -j 8          -- eight worker domains
    `ccdp perf` times one cell of the perf study with [perf_cell]. *)
 
 open Ccdp_workloads
 open Ccdp_core
 
+(* [ccdp bench]'s -n, --iters, --pes and --pe: the problem size and
+   time-loop iterations of every study, the machine widths of Tables 1-2
+   and the extra kernels, and the one width of the ablations, sweeps,
+   machine sweep, oracle and perf studies *)
 type sizes = { n : int; iters : int; pes : int list; abl_pes : int }
-
-let default_sizes = { n = 64; iters = 2; pes = [ 1; 2; 4; 8; 16; 32; 64 ]; abl_pes = 16 }
-let full_sizes = { n = 128; iters = 3; pes = [ 1; 2; 4; 8; 16; 32; 64 ]; abl_pes = 32 }
 
 let ppf = Format.std_formatter
 
@@ -55,10 +59,9 @@ let tables sizes jobs =
         numerically verified against sequential execution)"
        sizes.n sizes.iters);
   let ws = Suite.spec_four ~n:sizes.n ~iters:sizes.iters () in
-  let spec = { Experiment.default_spec with Experiment.pes = sizes.pes } in
   let rows = ref [] in
   with_bench_json ~bench:"table1" ~jobs (fun doc ->
-      rows := Experiment.evaluate ~jobs ~spec ws;
+      rows := Experiment.evaluate ~jobs ~pes:sizes.pes ws;
       Bench_json.add_rows doc !rows;
       emit doc (Experiment.table1 !rows));
   with_bench_json ~bench:"table2" ~jobs (fun doc ->
@@ -78,9 +81,8 @@ let extras_table sizes jobs =
       Extras.triad ~n:sizes.n;
     ]
   in
-  let spec = { Experiment.default_spec with Experiment.pes = sizes.pes } in
   with_bench_json ~bench:"extras" ~jobs (fun doc ->
-      let rows = Experiment.evaluate ~jobs ~spec ws in
+      let rows = Experiment.evaluate ~jobs ~pes:sizes.pes ws in
       Bench_json.add_rows doc rows;
       emit doc (Experiment.table2 rows))
 
@@ -354,16 +356,18 @@ let perf sizes ~quick jobs =
             scale_jobs)
         scale_pes)
 
-(* ---- staleness-oracle overhead ------------------------------------- *)
+(* ---- staleness-oracle cost ---------------------------------------- *)
 
-(* Host-time cost of arming the dynamic staleness oracle, timed with
-   [time_run] like every perf row (one warm-up, then one run each way).
-   The oracle is pure instrumentation: it must not change the simulated
-   machine (cycles are asserted identical) and should stay cheap enough to
-   leave on for every fuzz run. Timed serially — parallel workers would
-   contend for the clock. *)
+(* Host cost of arming the dynamic staleness oracle, as minor words per
+   simulated access with the oracle off and on, counted by [time_run]
+   like every perf row: exact and repeatable, where one timed run each
+   way could not resolve the oracle's cost in wall-clock. The oracle is
+   pure instrumentation: it must not change the simulated machine
+   (cycles are asserted identical). *)
 let oracle_overhead sizes =
-  header "Staleness-oracle overhead (host time; simulated cycles unchanged)";
+  header
+    "Staleness-oracle cost (minor words per simulated access; simulated \
+     cycles unchanged)";
   let ws =
     [
       Tomcatv.workload ~n:sizes.n ~iters:sizes.iters;
@@ -371,8 +375,8 @@ let oracle_overhead sizes =
       Extras.jacobi ~n:sizes.n ~iters:sizes.iters;
     ]
   in
-  Format.fprintf ppf "%-10s %12s %12s %9s %12s %10s@." "workload" "off (s)"
-    "on (s)" "overhead" "checks" "violations";
+  Format.fprintf ppf "%-10s %12s %12s %12s %10s@." "workload" "off (w/acc)"
+    "on (w/acc)" "checks" "violations";
   List.iter
     (fun (w : Workload.t) ->
       let mode = Ccdp_runtime.Memsys.Ccdp in
@@ -380,18 +384,19 @@ let oracle_overhead sizes =
       let run ~oracle () =
         Ccdp_runtime.Interp.run s.cfg ~oracle s.program ~plan:s.plan ~mode ()
       in
-      let r_off, t_off, _ = time_run (run ~oracle:false) in
-      let r_on, t_on, _ = time_run ~warm:false (run ~oracle:true) in
+      let r_off, _, words_off = time_run (run ~oracle:false) in
+      let r_on, _, words_on = time_run (run ~oracle:true) in
       if r_on.Ccdp_runtime.Interp.cycles <> r_off.Ccdp_runtime.Interp.cycles
       then
         failwith
           (Printf.sprintf "%s: oracle changed simulated time (%d vs %d)"
              w.Workload.name r_on.Ccdp_runtime.Interp.cycles
              r_off.Ccdp_runtime.Interp.cycles);
+      let stats = r_on.Ccdp_runtime.Interp.stats in
+      let accesses = float_of_int (stats.reads + stats.writes) in
       let sys = r_on.Ccdp_runtime.Interp.sys in
-      Format.fprintf ppf "%-10s %12.3f %12.3f %8.1f%% %12d %10d@."
-        w.Workload.name t_off t_on
-        (if t_off > 0.0 then 100.0 *. ((t_on /. t_off) -. 1.0) else 0.0)
+      Format.fprintf ppf "%-10s %12.4f %12.4f %12d %10d@." w.Workload.name
+        (words_off /. accesses) (words_on /. accesses)
         (Ccdp_runtime.Memsys.oracle_checked sys)
         (Ccdp_runtime.Memsys.oracle_violation_count sys))
     ws;
@@ -420,8 +425,7 @@ let studies =
 (* Runs the named studies in a fixed order, whatever order they are
    named in. [All], or no study at all, runs every study plus the extra
    kernels; Tables 1 and 2 come from one evaluation. *)
-let run ~full ~quick ~machine ~jobs named =
-  let sizes = if full then full_sizes else default_sizes in
+let run ~sizes ~quick ~machine ~jobs named =
   let all = named = [] || List.mem All named in
   let has s = all || List.mem s named in
   if has Table1 || has Table2 then tables sizes jobs;

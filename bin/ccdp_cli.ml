@@ -1,7 +1,7 @@
 (* ccdp: command-line driver for the CCDP reproduction.
 
-   Subcommands: list, analyze, run, table1, table2, ablate, sweep,
-   parallelize, profile, emit, load, check, fuzz, perf, bench. *)
+   Subcommands: list, analyze, run, parallelize, profile, emit, load,
+   check, fuzz, perf, bench. *)
 
 open Cmdliner
 open Ccdp_workloads
@@ -63,7 +63,8 @@ let pes_arg =
   Arg.(
     value
     & opt (list width_conv) [ 1; 2; 4; 8; 16; 32; 64 ]
-    & info [ "pes" ] ~docv:"P,..." ~doc:"Machine widths for the tables.")
+    & info [ "pes" ] ~docv:"P,..."
+        ~doc:"Machine widths of Tables 1 and 2 and of the extra kernels.")
 
 let pe_arg =
   Arg.(
@@ -99,13 +100,10 @@ let workload_term =
       const (fun name n iters () -> Suite.find ~n ~iters name)
       $ name_arg $ n_arg $ iters_arg)
 
-(* the whole suite, or the paper's four benchmarks when [four] holds *)
-let suite_term four =
+(* the whole suite, at -n and --iters *)
+let suite_term =
   checked
-    Term.(
-      const (fun four n iters () ->
-          (if four then Suite.spec_four else Suite.all) ~n ~iters ())
-      $ four $ n_arg $ iters_arg)
+    Term.(const (fun n iters () -> Suite.all ~n ~iters ()) $ n_arg $ iters_arg)
 
 (* a CRAFT file that does not parse exits 2 with its located message *)
 let read_craft path =
@@ -223,7 +221,7 @@ let list_cmd =
     List.iter (fun (w : Workload.t) -> Printf.printf "%-10s %s\n" w.name w.descr)
   in
   Cmd.v (info "list" ~doc:"List available workloads")
-    Term.(const run $ suite_term (Term.const false))
+    Term.(const run $ suite_term)
 
 let analyze_cmd =
   let run (w : Workload.t) pe =
@@ -256,54 +254,6 @@ let run_cmd =
     Term.(
       const run $ workload_term $ pe_arg $ mode_arg $ machine_arg
       $ verify_arg $ jobs_arg)
-
-let spec_four_arg =
-  Arg.(
-    value & flag
-    & info [ "spec-four" ]
-        ~doc:"Restrict to the paper's four benchmarks (MXM, VPENTA, TOMCATV, SWIM).")
-
-let csv_arg =
-  Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV instead.")
-
-(* Tables 1 and 2 render the same evaluation rows *)
-let table_cmd name ~doc table =
-  let run ws pes verify csv jobs =
-    let spec = { Ccdp_core.Experiment.pes; verify } in
-    let rows = Ccdp_core.Experiment.evaluate ~jobs:(resolve_jobs jobs) ~spec ws in
-    if csv then Ccdp_core.Experiment.csv_rows Format.std_formatter rows
-    else Ccdp_core.Experiment.print_tbl Format.std_formatter (table rows)
-  in
-  Cmd.v (info name ~doc)
-    Term.(
-      const run $ suite_term spec_four_arg $ pes_arg $ verify_arg $ csv_arg
-      $ jobs_arg)
-
-let table1_cmd =
-  table_cmd "table1" ~doc:"Reproduce paper Table 1 (speedups)"
-    Ccdp_core.Experiment.table1
-
-let table2_cmd =
-  table_cmd "table2" ~doc:"Reproduce paper Table 2 (CCDP improvement over BASE)"
-    Ccdp_core.Experiment.table2
-
-let ablate_cmd =
-  let which_arg =
-    Arg.(
-      value
-      & opt (enum [ ("target", `Target); ("sched", `Sched); ("coherence", `Coh) ]) `Coh
-      & info [ "which" ] ~docv:"KIND" ~doc:"target | sched | coherence.")
-  in
-  let run ws pe which =
-    Ccdp_core.Experiment.(
-      print_tbl Format.std_formatter
-        (match which with
-        | `Target -> ablation_target_table ~n_pes:pe ws
-        | `Sched -> ablation_technique_table ~n_pes:pe ws
-        | `Coh -> ablation_coherence_table ~n_pes:pe ws))
-  in
-  Cmd.v (info "ablate" ~doc:"Ablation studies (DESIGN.md index)")
-    Term.(const run $ suite_term (Term.const true) $ pe_arg $ which_arg)
 
 let load_cmd =
   let program_term =
@@ -566,8 +516,16 @@ let bench_cmd =
             ^ ". With none, or with $(b,all), every study runs, plus the \
                extra kernels."))
   in
-  let full_arg =
-    Arg.(value & flag & info [ "full" ] ~doc:"Paper-shaped problem sizes (slow).")
+  (* every study draws its workloads from the suite at these sizes (and
+     MXM at fixed ones), so building the suite here rejects a size before
+     any study runs *)
+  let sizes_term =
+    checked
+      Term.(
+        const (fun n iters pes abl_pes () ->
+            ignore (Suite.all ~n ~iters ());
+            { Bench.n; iters; pes; abl_pes })
+        $ n_arg $ iters_arg $ pes_arg $ pe_arg)
   in
   let quick_arg =
     Arg.(
@@ -582,34 +540,27 @@ let bench_cmd =
       & info [ "machine" ] ~docv:"MACHINE"
           ~doc:"Restrict the $(b,machines) sweep to one preset.")
   in
-  let run named full quick machine jobs =
-    Bench.run ~full ~quick ~machine:(Option.map fst machine)
+  let run named sizes quick machine jobs =
+    Bench.run ~sizes ~quick ~machine:(Option.map fst machine)
       ~jobs:(resolve_jobs jobs) named
   in
   Cmd.v
     (info "bench"
        ~doc:
-         "Regenerate the paper's tables and the DESIGN.md studies; each \
-          study also writes $(i,BENCH_<study>.json) to the working directory")
-    Term.(const run $ studies_arg $ full_arg $ quick_arg $ only_arg $ jobs_arg)
-
-let sweep_cmd =
-  let run pe w =
-    Ccdp_core.Experiment.(
-      print_tbl Format.std_formatter (sweep_remote_table ~n_pes:pe w);
-      print_tbl Format.std_formatter (sweep_queue_table ~n_pes:pe w))
-  in
-  Cmd.v (info "sweep" ~doc:"Latency and queue-capacity sweeps")
-    Term.(const run $ pe_arg $ workload_term)
+         "Regenerate the paper's tables and the DESIGN.md studies at one \
+          problem size: Tables 1 and 2 at each $(b,--pes) width, the other \
+          studies at $(b,--pe) PEs ($(b,rivals) and Experiment F at 64). \
+          Each study also writes \
+          $(i,BENCH_<study>.json) to the working directory")
+    Term.(const run $ studies_arg $ sizes_term $ quick_arg $ only_arg $ jobs_arg)
 
 let main =
   Cmd.group
     (Cmd.info "ccdp" ~version:"1.0" ~exits
        ~doc:"Compiler-directed cache coherence with data prefetching (Lim & Yew, IPPS'97)")
     [
-      list_cmd; analyze_cmd; run_cmd; table1_cmd; table2_cmd; ablate_cmd;
-      sweep_cmd; parallelize_cmd; profile_cmd; emit_cmd; load_cmd; check_cmd;
-      fuzz_cmd; perf_cmd; bench_cmd;
+      list_cmd; analyze_cmd; run_cmd; parallelize_cmd; profile_cmd; emit_cmd;
+      load_cmd; check_cmd; fuzz_cmd; perf_cmd; bench_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -30,10 +30,7 @@ let () =
     compiled.Pipeline.decisions;
 
   (* speedups across machine widths, exactly like paper Table 1/2 *)
-  let spec =
-    { Experiment.default_spec with Experiment.pes = [ 1; 2; 4; 8; 16; 32 ] }
-  in
-  let rows = Experiment.evaluate ~spec [ w ] in
+  let rows = Experiment.evaluate ~pes:[ 1; 2; 4; 8; 16; 32 ] [ w ] in
   Format.printf "PEs   BASE speedup   CCDP speedup   improvement@.";
   List.iter
     (fun (r : Experiment.row) ->

@@ -23,10 +23,6 @@ val bound_range : Ccdp_ir.Bound.t -> env -> (int * int) option
     [None] when a variable is unbound (an unresolved or opaque bound). *)
 val affine_range : env -> Ccdp_ir.Affine.t -> (int * int) option
 
-(** Constant value of a bound under an environment ([None] when unknown or
-    varying). *)
-val bound_const : Ccdp_ir.Bound.t -> env -> int option
-
 (** Numeric trip count of a loop under an environment, using the widest
     bounds; [None] when either bound is unknown. *)
 val trip_count : Ccdp_ir.Stmt.loop -> env -> int option

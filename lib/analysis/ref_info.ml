@@ -177,11 +177,3 @@ let index infos =
   tbl
 
 let scope_loops i = i.outer_serial @ i.loops
-
-let pp ppf i =
-  Format.fprintf ppf "%s %a in epoch %d, %d loops%s%s"
-    (if i.write then "write" else "read")
-    Reference.pp i.ref_ i.epoch
-    (List.length (scope_loops i))
-    (if i.in_innermost then ", innermost" else "")
-    (if i.if_depth > 0 then ", under if" else "")

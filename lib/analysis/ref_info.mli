@@ -45,5 +45,3 @@ val index : t list -> (int, t) Hashtbl.t
 (** All loop variables in scope at the reference (outer serial + epoch
     loops), outermost first. *)
 val scope_loops : t -> Ccdp_ir.Stmt.loop list
-
-val pp : Format.formatter -> t -> unit

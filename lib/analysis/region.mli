@@ -13,9 +13,7 @@ type t
 
 val make : Ccdp_ir.Program.t -> n_pes:int -> t
 val n_pes : t -> int
-val layout : t -> string -> Ccdp_craft.Layout.t
 val decl : t -> string -> Ccdp_ir.Array_decl.t
-val params : t -> (string * int) list
 
 (** Full iteration-space environment of a reference. *)
 val env_of : t -> Ref_info.t -> Iterspace.env

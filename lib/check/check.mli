@@ -15,11 +15,8 @@
 
 val maystale : Ccdp_core.Pipeline.t -> Maystale.t
 
-(** The individual passes (for targeted tests and differentials). *)
-val coverage : Ccdp_core.Pipeline.t -> Diag.t list
-
+(** The race pass alone (for targeted tests and differentials). *)
 val races : Ccdp_core.Pipeline.t -> Diag.t list
-val lints : Ccdp_core.Pipeline.t -> Diag.t list
 
 (** All passes, sorted in report order. *)
 val certify : Ccdp_core.Pipeline.t -> Diag.t list

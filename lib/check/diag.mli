@@ -53,8 +53,6 @@ type code =
   | Bad_reduction  (** CCDP-W011 *)
 
 val code_string : code -> string
-val severity_of : code -> severity
-val severity_string : severity -> string
 
 type t = {
   code : code;

@@ -19,10 +19,6 @@ let ccdp_speedup r = float_of_int r.seq_cycles /. float_of_int r.ccdp_cycles
 let improvement r =
   100.0 *. (float_of_int (r.base_cycles - r.ccdp_cycles) /. float_of_int r.base_cycles)
 
-type spec = { pes : int list; verify : bool }
-
-let default_spec = { pes = [ 1; 2; 4; 8; 16; 32; 64 ]; verify = true }
-
 (* [jobs]: intra-run shard count for the epoch simulation (see
    Interp.run's [pool]); [None] — the default, and what every table's
    grid tasks use from inside their own pool — runs the serial walk
@@ -53,7 +49,7 @@ let pairs xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 (* Relative gain of [b] over [a], percent of [a]. *)
 let gain a b = Report.fpct (100. *. float_of_int (a - b) /. float_of_int a)
 
-let evaluate ?jobs ?(spec = default_spec) workloads =
+let evaluate ?jobs ~pes workloads =
   let seqs =
     grid ?jobs (fun w -> "seq:" ^ name w) (run_mode ~n_pes:1 Memsys.Seq) workloads
   in
@@ -61,10 +57,9 @@ let evaluate ?jobs ?(spec = default_spec) workloads =
     (fun ((w, _), n_pes) -> Printf.sprintf "%s@%dpe" (name w) n_pes)
     (fun (((w : Workload.t), (seq : Interp.result)), n_pes) ->
       let check (r : Interp.result) =
-        (not spec.verify)
-        || (Verify.compare_states ~expected:seq.sys ~got:r.sys
-              (Ccdp_ir.Program.inline w.program))
-             .ok
+        (Verify.compare_states ~expected:seq.sys ~got:r.sys
+           (Ccdp_ir.Program.inline w.program))
+          .ok
       in
       let base = run_mode ~n_pes Memsys.Base w in
       let ccdp = run_mode ~n_pes Memsys.Ccdp w in
@@ -77,7 +72,7 @@ let evaluate ?jobs ?(spec = default_spec) workloads =
         base_ok = check base;
         ccdp_ok = check ccdp;
       })
-    (pairs (List.combine workloads seqs) spec.pes)
+    (pairs (List.combine workloads seqs) pes)
 
 (* ------------------------------------------------------------------ *)
 (* Tables as values                                                    *)
@@ -133,30 +128,6 @@ let table2 =
     ~title:"Table 2. Improvement in execution time of CCDP codes over BASE codes"
     ~columns:(fun n -> [ n ])
     (function Some r -> [ Report.fpct (improvement r) ] | None -> [ "-" ])
-
-let csv_rows ppf rows =
-  Report.csv ppf
-    ~headers:
-      [
-        "workload"; "pes"; "seq_cycles"; "base_cycles"; "ccdp_cycles";
-        "base_speedup"; "ccdp_speedup"; "improvement_pct"; "base_verified";
-        "ccdp_verified";
-      ]
-    (List.map
-       (fun (r : row) ->
-         [
-           r.workload;
-           string_of_int r.pes;
-           string_of_int r.seq_cycles;
-           string_of_int r.base_cycles;
-           string_of_int r.ccdp_cycles;
-           Printf.sprintf "%.4f" (base_speedup r);
-           Printf.sprintf "%.4f" (ccdp_speedup r);
-           Printf.sprintf "%.2f" (improvement r);
-           string_of_bool r.base_ok;
-           string_of_bool r.ccdp_ok;
-         ])
-       rows)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: one row per workload                                     *)

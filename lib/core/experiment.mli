@@ -29,10 +29,6 @@ val ccdp_speedup : row -> float
     percent (paper Table 2). *)
 val improvement : row -> float
 
-type spec = { pes : int list; verify : bool }
-
-val default_spec : spec
-
 (** Run a workload's program at one machine width under one mode, set up
     by {!Pipeline.for_mode} (which [tuning], [innermost_only],
     [group_spatial], [prefetch_clean] and [machine] are passed to).
@@ -52,11 +48,12 @@ val run_mode :
   Ccdp_workloads.Workload.t ->
   Ccdp_runtime.Interp.result
 
-(** Full BASE/CCDP/sequential matrix over the spec's PE counts, sharded
-    over [jobs] domains (default: {!Ccdp_exec.Pool.resolve_jobs}). The
+(** Full BASE/CCDP/sequential matrix over the machine widths [pes],
+    sharded over [jobs] domains (default: {!Ccdp_exec.Pool.resolve_jobs}).
+    Every BASE and CCDP run is verified against the sequential one. The
     row list is identical for every job count. *)
 val evaluate :
-  ?jobs:int -> ?spec:spec -> Ccdp_workloads.Workload.t list -> row list
+  ?jobs:int -> pes:int list -> Ccdp_workloads.Workload.t list -> row list
 
 (** A rendered experiment table: the unit of both the plain-text report
     ({!print_tbl}) and the JSON bench emission ({!Bench_json}). *)
@@ -72,10 +69,6 @@ val print_tbl : Format.formatter -> table -> unit
 val table1 : row list -> table
 
 val table2 : row list -> table
-
-(** Machine-readable export of the evaluation rows (one line per
-    workload/width with speedups, improvement and verification flags). *)
-val csv_rows : Format.formatter -> row list -> unit
 
 (** Ablation A: prefetch target analysis disabled (every potentially-stale
     reference prefetched individually) vs the full scheme. *)
@@ -160,16 +153,10 @@ type rival_row = {
   rv_stats : Ccdp_machine.Stats.t;
 }
 
-(** The contending modes, table order: BASE, CCDP, MSI, MESI, DIR. *)
-val rival_modes : Ccdp_runtime.Memsys.mode list
-
-(** The machines swept: [t3d-torus] and [t3d-xbar]. *)
-val rival_machines :
-  (string * (n_pes:int -> Ccdp_machine.Config.t)) list
-
-(** Row order: workload-major, then machine, then {!rival_modes} order.
-    Deterministic for any [jobs]. Default [n_pes] = 64 — wide enough for
-    bus arbitration to crush snooping on the crossbar. *)
+(** One row per workload, machine ([t3d-torus], [t3d-xbar]) and mode
+    (BASE, CCDP, MSI, MESI, DIR), in that nesting order. Deterministic
+    for any [jobs]. Default [n_pes] = 64 — wide enough for bus
+    arbitration to crush snooping on the crossbar. *)
 val rivals_rows :
   ?n_pes:int -> ?jobs:int -> Ccdp_workloads.Workload.t list -> rival_row list
 

@@ -22,17 +22,5 @@ let table ppf ~title ~headers rows =
   List.iter line rows;
   Format.fprintf ppf "@]@."
 
-let csv ppf ~headers rows =
-  let quote s =
-    if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-      "\"" ^ String.concat "\"\"" (String.split_on_char '\"' s) ^ "\""
-    else s
-  in
-  let line cells =
-    Format.fprintf ppf "%s@." (String.concat "," (List.map quote cells))
-  in
-  line headers;
-  List.iter line rows
-
 let fpct v = Printf.sprintf "%.2f%%" v
 let fx v = Printf.sprintf "%.2f" v

@@ -6,9 +6,5 @@ val table :
   Format.formatter -> title:string -> headers:string list -> string list list ->
   unit
 
-(** CSV rendering of the same data (machine-readable exports). *)
-val csv :
-  Format.formatter -> headers:string list -> string list list -> unit
-
 val fpct : float -> string
 val fx : float -> string

@@ -152,7 +152,3 @@ let owned_section t pe =
         Section.of_dims
           (List.init (Array_decl.rank t.decl) dim_for)
       with Exit -> Section.empty)
-
-let pp ppf t =
-  Format.fprintf ppf "%a on %d PEs (%d words/PE)" Array_decl.pp t.decl t.n_pes
-    t.per_pe_words

@@ -39,5 +39,3 @@ val strides : t -> int array
     dimension, whole elsewhere); [Whole] for replicated arrays, the whole
     array for PE 0 (and [Empty] for others) when undistributed. *)
 val owned_section : t -> int -> Ccdp_ir.Section.t
-
-val pp : Format.formatter -> t -> unit

@@ -52,10 +52,6 @@ let eval_alist e alist =
 
 let equal a b = a.const = b.const && a.terms = b.terms
 
-let compare a b =
-  let c = Stdlib.compare a.terms b.terms in
-  if c <> 0 then c else Stdlib.compare a.const b.const
-
 let uniformly_generated a b = a.terms = b.terms
 
 let offset_between a b =

@@ -64,7 +64,6 @@ val eval_alist : t -> (string * int) list -> int option
 (** {1 Comparison} *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** [uniformly_generated a b] holds when [a] and [b] have identical variable
     terms (they may differ in the constant) — the precondition for

@@ -17,8 +17,6 @@ let distributed_dim = function
       Array.iteri (fun d p -> if p <> Degenerate && !found = None then found := Some d) dims;
       !found
 
-let equal a b = a = b
-
 let pp_dim ppf = function
   | Block -> Format.pp_print_string ppf "block"
   | Cyclic -> Format.pp_print_string ppf "cyclic"

@@ -32,5 +32,4 @@ val replicated : t
 (** The index of the distributed dimension, if any. *)
 val distributed_dim : t -> int option
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

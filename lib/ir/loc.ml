@@ -1,11 +1,9 @@
 type t = Synthetic | Src of { line : int; col : int }
 
-let synthetic = Synthetic
 let src ~line ~col = Src { line; col }
 let is_src = function Src _ -> true | Synthetic -> false
 
 let line = function Src { line; _ } -> Some line | Synthetic -> None
-let col = function Src { col; _ } -> Some col | Synthetic -> None
 
 let compare a b =
   match (a, b) with
@@ -19,5 +17,3 @@ let compare a b =
 let pp ppf = function
   | Synthetic -> Format.pp_print_string ppf "<builder>"
   | Src { line; col } -> Format.fprintf ppf "%d:%d" line col
-
-let to_string l = Format.asprintf "%a" pp l

@@ -8,14 +8,11 @@
 
 type t = Synthetic | Src of { line : int; col : int }
 
-val synthetic : t
 val src : line:int -> col:int -> t
 val is_src : t -> bool
 val line : t -> int option
-val col : t -> int option
 
 (** Located spans order before synthetic ones, then by (line, col). *)
 val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

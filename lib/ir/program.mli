@@ -18,7 +18,6 @@ type t = {
 
 val find_array : t -> string -> Array_decl.t
 val find_array_opt : t -> string -> Array_decl.t option
-val find_proc_opt : t -> string -> proc option
 val param : t -> string -> int
 
 (** Every reference in main (not descending into procedures). *)

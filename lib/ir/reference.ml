@@ -17,8 +17,6 @@ let uniformly_generated a b =
         a.subs;
       !ok)
 
-let equal a b = a.id = b.id
-
 let pp ppf r =
   Format.fprintf ppf "%s(%a)#%d" r.array_name
     (Format.pp_print_list

@@ -25,6 +25,5 @@ val with_id : t -> int -> t
     pair has identical variable terms. *)
 val uniformly_generated : t -> t -> bool
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -61,7 +61,6 @@ val hull : t -> t -> t
 val mem : t -> int array -> bool
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** {1 Construction from affine subscripts} *)

@@ -100,5 +100,4 @@ val map_loop_ids : (int -> int) -> t -> t
 (** Arithmetic-operation count of the statement itself (not iterated). *)
 val direct_flops : t -> int
 
-val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit

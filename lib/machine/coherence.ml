@@ -35,11 +35,6 @@ module Dir = struct
       owner = Array.make (max 1 n_lines) (-1);
     }
 
-  let n_lines t = Array.length t.owner
-
-  let mem t ~line ~pe =
-    t.presence.((line * t.bwords) + (pe / 63)) land (1 lsl (pe mod 63)) <> 0
-
   let add t ~line ~pe =
     let w = (line * t.bwords) + (pe / 63) in
     t.presence.(w) <- t.presence.(w) lor (1 lsl (pe mod 63))
@@ -47,18 +42,6 @@ module Dir = struct
   let remove t ~line ~pe =
     let w = (line * t.bwords) + (pe / 63) in
     t.presence.(w) <- t.presence.(w) land lnot (1 lsl (pe mod 63))
-
-  let popcount n =
-    let rec go acc n = if n = 0 then acc else go (acc + (n land 1)) (n lsr 1) in
-    go 0 n
-
-  let sharer_count t ~line =
-    let base = line * t.bwords in
-    let c = ref 0 in
-    for w = 0 to t.bwords - 1 do
-      c := !c + popcount t.presence.(base + w)
-    done;
-    !c
 
   (* The lowest sharer at or above [from], or -1: walking it upward gives
      the ascending PE order — the deterministic invalidation order both
@@ -80,10 +63,6 @@ module Dir = struct
       | p -> p :: from (p + 1)
     in
     from 0
-
-  let clear_line t ~line =
-    Array.fill t.presence (line * t.bwords) t.bwords 0;
-    t.owner.(line) <- -1
 
   let owner t ~line = t.owner.(line)
   let set_owner t ~line pe = t.owner.(line) <- pe

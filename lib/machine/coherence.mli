@@ -33,14 +33,8 @@ module Dir : sig
   type t
 
   val create : n_pes:int -> n_lines:int -> t
-  val n_lines : t -> int
-
-  (** Does [pe] hold a copy of [line]? *)
-  val mem : t -> line:int -> pe:int -> bool
-
   val add : t -> line:int -> pe:int -> unit
   val remove : t -> line:int -> pe:int -> unit
-  val sharer_count : t -> line:int -> int
 
   (** The lowest PE at or above [from] holding a copy of [line], or -1
       when none does. Stepping [from] past each result visits the sharers
@@ -49,8 +43,6 @@ module Dir : sig
 
   (** Sharer list in ascending PE order (tests/introspection). *)
   val sharers : t -> line:int -> int list
-
-  val clear_line : t -> line:int -> unit
 
   (** The PE holding [line] Modified, or -1 when the line is clean
       everywhere. *)

@@ -207,20 +207,3 @@ let validate t =
   check (t.lock_acquire >= 0) "lock_acquire must be >= 0";
   check (t.lock_release >= 0) "lock_release must be >= 0";
   List.rev !problems
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>machine: %d PEs (clusters of %d)@,\
-     network: %s hop=%d link-occ=%d bus-occ=%d@,\
-     cache: %d words, %d-word lines@,\
-     prefetch queue: %d words; annex: %d entries@,\
-     latency: hit=%d local=%d/%d remote=%d store=%d/%d@,\
-     prefetch: issue=%d extract=%d annex=%d vget=%d+%d/word@,\
-     barrier: %d; flop=%d loop=%d; lock=%d/%d@]"
-    t.n_pes t.cluster_pes (Net.kind_name t.net) t.hop t.link_occ t.bus_occ
-    t.cache_words
-    t.line_words
-    t.prefetch_queue_words t.annex_entries t.hit t.local
-    t.uncached_local t.remote t.store_local t.store_remote t.pf_issue
-    t.pf_extract t.annex_setup t.vget_startup t.vget_per_word (barrier_cost t)
-    t.flop t.loop_overhead t.lock_acquire t.lock_release

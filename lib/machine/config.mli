@@ -123,4 +123,3 @@ val barrier_cost : t -> int
 val lines_for_words : t -> int -> int
 
 val validate : t -> string list
-val pp : Format.formatter -> t -> unit

@@ -8,7 +8,6 @@ let create cfg =
   { cfg; pes = Array.init cfg.Config.n_pes (Pe.create cfg) }
 
 let pe t i = t.pes.(i)
-let n_pes t = Array.length t.pes
 let time t = Array.fold_left (fun acc (p : Pe.t) -> max acc p.clock) 0 t.pes
 
 let barrier t =

@@ -4,7 +4,6 @@ type t = { cfg : Config.t; pes : Pe.t array }
 
 val create : Config.t -> t
 val pe : t -> int -> Pe.t
-val n_pes : t -> int
 
 (** Barrier: every clock jumps to the maximum plus the (log-tree) barrier
     cost; pending prefetches are drained and counted unused. *)

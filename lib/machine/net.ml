@@ -147,7 +147,6 @@ let create ?(hop = 0) ?(cluster_pes = 1) kind ~n_pes =
   }
 
 let kind t = t.kind
-let n_pes t = t.n_pes
 let hops t a b = hops_geom t.geom a b
 let diameter t = diameter_geom t.geom t.n_pes
 let cluster_pes t = t.cluster_pes
@@ -218,13 +217,3 @@ let reset_links t =
   Array.fill t.link_busy 0 t.n_pes 0;
   Array.fill t.link_depth 0 t.n_pes 0;
   Array.fill t.bus_demand 0 (Array.length t.bus_demand) 0
-
-let pp ppf t =
-  (match t.geom with
-  | Guniform -> Format.fprintf ppf "uniform (%d PEs)" t.n_pes
-  | Gtorus torus ->
-      Format.fprintf ppf "%dx%dx%d torus" torus.nx torus.ny torus.nz
-  | Gmesh (nx, ny) -> Format.fprintf ppf "%dx%d mesh" nx ny
-  | Gxbar -> Format.fprintf ppf "%d-port crossbar" t.n_pes);
-  if t.cluster_pes > 1 then
-    Format.fprintf ppf ", %d clusters of %d PEs" (n_clusters t) t.cluster_pes

@@ -42,7 +42,6 @@ type t
 val create : ?hop:int -> ?cluster_pes:int -> kind -> n_pes:int -> t
 
 val kind : t -> kind
-val n_pes : t -> int
 
 (** Topological distance between two PEs. A metric: [hops a a = 0],
     symmetric, and satisfies the triangle inequality. *)
@@ -103,5 +102,3 @@ val bus_depth : delay:int -> hold:int -> int
 
 (** Forget all link (and bus) bookings (barriers drain the network). *)
 val reset_links : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -10,7 +10,6 @@ let create ~capacity =
   if capacity < 0 then invalid_arg "Prefetch_queue.create";
   { cap = capacity; occ = 0; items = [] }
 
-let capacity t = t.cap
 let occupancy t = t.occ
 
 (* a plain walk: a [List.find_map] closure would allocate on every read *)

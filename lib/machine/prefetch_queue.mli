@@ -11,7 +11,6 @@ type t
 type entry = { line : int; words : int; ready : int (** arrival cycle *) }
 
 val create : capacity:int -> t
-val capacity : t -> int
 val occupancy : t -> int
 
 (** [try_insert t ~line ~words ~ready] enqueues unless it would overflow or

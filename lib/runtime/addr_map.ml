@@ -33,7 +33,6 @@ let make (p : Program.t) ~n_pes ~line_words ?(cache_lines = 0) () =
     p.Program.arrays;
   { np = n_pes; span = max line_words (align !next); layouts; bases }
 
-let n_pes t = t.np
 let pe_span t = t.span
 let total_words t = t.np * t.span
 

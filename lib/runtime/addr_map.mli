@@ -18,7 +18,6 @@ type t
 val make :
   Ccdp_ir.Program.t -> n_pes:int -> line_words:int -> ?cache_lines:int -> unit -> t
 
-val n_pes : t -> int
 val pe_span : t -> int
 
 (** Total words of the global space ([n_pes * pe_span]). *)

@@ -363,7 +363,6 @@ let cfg t = t.cfg
 let mode t = t.md
 let map t = t.amap
 let machine t = t.mach
-let plan t = t.pl
 let decl t name = Hashtbl.find t.decls name
 
 let handle_of t name =
@@ -1591,7 +1590,6 @@ let epoch_boundary t =
         t.ctxs);
   Array.iter (fun ctx -> ctx.epoch_start <- ctx.pe.Pe.clock) t.ctxs
 
-let time t = Machine.time t.mach
 let total_stats t = Machine.total_stats t.mach
 
 (* The getters fold any not-yet-drained per-PE staging on top of the

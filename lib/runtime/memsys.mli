@@ -117,7 +117,6 @@ val cfg : t -> Ccdp_machine.Config.t
 val mode : t -> mode
 val map : t -> Addr_map.t
 val machine : t -> Ccdp_machine.Machine.t
-val plan : t -> Ccdp_analysis.Annot.plan
 
 (** {1 Initialization and read-back (untimed)} *)
 
@@ -248,7 +247,6 @@ val epoch_boundary : t -> unit
     reads observe other PEs' current-epoch writes through memory. *)
 val shardable : t -> bool
 
-val time : t -> int
 val total_stats : t -> Ccdp_machine.Stats.t
 
 (** Residual cached values that disagree with memory (diagnostic for the

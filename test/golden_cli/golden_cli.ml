@@ -11,16 +11,12 @@ let cases ~heat2d ~malformed ~zerodim =
   [
     (* a size one suite workload rejects, or no size at all *)
     ([], [ "list"; "-n"; "6" ]);
-    ([], [ "table1"; "-n"; "10"; "--pes"; "1" ]);
-    ([], [ "table2"; "--spec-four"; "-n"; "10"; "--pes"; "1" ]);
-    ([], [ "ablate"; "-n"; "10" ]);
     ([], [ "bench"; "table1"; "-n"; "10"; "--pes"; "1" ]);
     ([], [ "bench"; "ablate"; "-n"; "10" ]);
     ([], [ "check"; "--all"; "-n"; "10" ]);
     (* checks no suite workload, so certifies *)
     ([], [ "check"; heat2d; "-n"; "10" ]);
     ([], [ "list"; "-n"; "0" ]);
-    ([], [ "table1"; "-n"; "0" ]);
     ([], [ "bench"; "-n"; "0" ]);
     ([], [ "run"; "mxm"; "-n"; "0" ]);
     ([], [ "run"; "mxm"; "--pe"; "0" ]);
@@ -30,14 +26,19 @@ let cases ~heat2d ~malformed ~zerodim =
     ([], [ "list"; "--iters=-1" ]);
     ([], [ "fuzz"; "--count=-1" ]);
     (* job counts outside 1..128, from a flag or the environment *)
-    ([], [ "table1"; "-j"; "0" ]);
-    ([], [ "table1"; "-j"; "129" ]);
     ([], [ "bench"; "-j"; "0" ]);
     ([], [ "bench"; "-j"; "129" ]);
     ([], [ "fuzz"; "--shards"; "0" ]);
     ([], [ "fuzz"; "--shards"; "129" ]);
     ([ "CCDP_SHARDS=0" ], [ "fuzz" ]);
     ([], [ "bench"; "-j"; "x"; "table1" ]);
+    (* no table command outside [bench], and no size preset: -n, --iters,
+       --pes and --pe size every study *)
+    ([], [ "table1" ]);
+    ([], [ "table2" ]);
+    ([], [ "ablate" ]);
+    ([], [ "sweep" ]);
+    ([], [ "bench"; "--full" ]);
     (* unknown names and missing files *)
     ([], [ "bench"; "tabel1" ]);
     ([], [ "bench"; "micro" ]);

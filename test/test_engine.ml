@@ -190,6 +190,42 @@ let sync_cases =
       ];
   ]
 
+(* the staleness oracle is pure instrumentation: arming it must leave the
+   simulated machine untouched — cycles, per-PE clocks and every counter —
+   in every mode, on every suite workload, on the uniform paper machine,
+   the contended crossbar and the clustered islands *)
+let oracle_cases =
+  List.map
+    (fun (mname, machine) ->
+      case ("arming the oracle changes nothing on " ^ mname) (fun () ->
+          let checks = ref 0 in
+          List.iter
+            (fun (w : Workload.t) ->
+              List.iter
+                (fun mode ->
+                  let { Pipeline.cfg; program = prog; plan; _ } =
+                    Pipeline.for_mode ~machine ~n_pes:8 mode w.Workload.program
+                  in
+                  let run oracle = Interp.run cfg ~oracle prog ~plan ~mode () in
+                  let off = run false and on = run true in
+                  let tag s =
+                    Printf.sprintf "%s/%s@%s: %s" w.Workload.name
+                      (Memsys.mode_name mode) mname s
+                  in
+                  check_int (tag "cycles") off.Interp.cycles on.Interp.cycles;
+                  check_true (tag "per-PE clocks")
+                    (off.Interp.per_pe_cycles = on.Interp.per_pe_cycles);
+                  check_true (tag "stats") (off.Interp.stats = on.Interp.stats);
+                  checks := !checks + Memsys.oracle_checked on.Interp.sys)
+                modes)
+            (Ccdp_workloads.Suite.all ~n:16 ~iters:1 ());
+          check_true "the armed runs checked reads" (!checks > 0)))
+    [
+      ("t3d", Ccdp_machine.Config.t3d);
+      ("t3d-xbar", Ccdp_machine.Config.t3d_xbar);
+      ("cxl-4x16", Ccdp_machine.Config.cxl_4x16);
+    ]
+
 (* minor-heap words of one run of [f], after one warm-up run *)
 let minor_words_of f =
   ignore (f ());
@@ -302,5 +338,6 @@ let () =
           ("synchronization", sync_cases);
           ("machines", machine_cases);
           ("cluster machines", cluster_machine_cases);
+          ("oracle", oracle_cases);
           ("allocation", alloc_cases);
         ])

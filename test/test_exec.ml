@@ -114,8 +114,6 @@ let pool_tests =
 
 (* ---- determinism of the rewired grids ------------------------------ *)
 
-let small_spec = { Experiment.pes = [ 1; 4 ]; verify = true }
-
 let small_ws () = [ Extras.jacobi ~n:12 ~iters:2; Extras.triad ~n:12 ]
 
 let rows_equal (a : Experiment.row list) (b : Experiment.row list) = a = b
@@ -123,8 +121,8 @@ let rows_equal (a : Experiment.row list) (b : Experiment.row list) = a = b
 let determinism_tests =
   [
     case "evaluate: -j1 and -j4 produce identical row lists" (fun () ->
-        let r1 = Experiment.evaluate ~jobs:1 ~spec:small_spec (small_ws ()) in
-        let r4 = Experiment.evaluate ~jobs:4 ~spec:small_spec (small_ws ()) in
+        let r1 = Experiment.evaluate ~jobs:1 ~pes:[ 1; 4 ] (small_ws ()) in
+        let r4 = Experiment.evaluate ~jobs:4 ~pes:[ 1; 4 ] (small_ws ()) in
         check_int "row count" (List.length r1) (List.length r4);
         check_true "identical" (rows_equal r1 r4));
     case "ablation and sweep tables: -j1 equals -j4" (fun () ->
@@ -144,7 +142,7 @@ let determinism_tests =
           pairs);
     case "BENCH json payloads are identical across job counts" (fun () ->
         let payload jobs =
-          let rows = Experiment.evaluate ~jobs ~spec:small_spec (small_ws ()) in
+          let rows = Experiment.evaluate ~jobs ~pes:[ 1; 4 ] (small_ws ()) in
           let doc = Bench_json.create ~bench:"test" in
           Bench_json.add_rows doc rows;
           Bench_json.add_table doc (Experiment.table1 rows);

@@ -2,9 +2,9 @@ open Ccdp_workloads
 open Ccdp_core
 open Ccdp_test_support.Tutil
 
-let small_spec = { Experiment.pes = [ 1; 4 ]; verify = true }
+let small_pes = [ 1; 4 ]
 
-let rows () = Experiment.evaluate ~spec:small_spec [ Extras.jacobi ~n:12 ~iters:2 ]
+let rows () = Experiment.evaluate ~pes:small_pes [ Extras.jacobi ~n:12 ~iters:2 ]
 
 let evaluation =
   [
@@ -86,7 +86,7 @@ let ablations =
                     ~init:(fun _ -> ()) r
                 in
                 check_true "ok" v.Ccdp_runtime.Verify.ok)
-              small_spec.Experiment.pes)
+              small_pes)
           Ccdp_analysis.Schedule.
             [
               { default_tuning with allow_vpg = false };

@@ -10,8 +10,7 @@ open Ccdp_test_support.Tutil
 
 let rows =
   lazy
-    (let spec = { Experiment.pes = [ 4; 16 ]; verify = true } in
-     Experiment.evaluate ~spec (Suite.spec_four ~n:48 ~iters:2 ()))
+    (Experiment.evaluate ~pes:[ 4; 16 ] (Suite.spec_four ~n:48 ~iters:2 ()))
 
 let at name pes =
   List.find
