@@ -1,7 +1,7 @@
 (* ccdp: command-line driver for the CCDP reproduction.
 
-   Subcommands: list, analyze, run, parallelize, profile, emit, load,
-   check, fuzz, perf, bench. *)
+   Subcommands: list, analyze, run, parallelize, emit, check, fuzz, perf,
+   bench. *)
 
 open Cmdliner
 open Ccdp_workloads
@@ -49,13 +49,19 @@ let n_arg =
   Arg.(
     value
     & opt (int_conv ~what:"size" ~expected:"N >= 1" (fun n -> n >= 1)) 64
-    & info [ "n" ] ~docv:"N" ~doc:"Problem size (matrix edge).")
+    & info [ "n" ] ~docv:"N"
+        ~doc:
+          "Problem size (matrix edge) of the suite workloads; a $(b,.craft) \
+           file fixes its own.")
 
 let iters_arg =
   Arg.(
     value
     & opt (int_conv ~what:"iteration count" ~expected:"I >= 1" (fun i -> i >= 1)) 2
-    & info [ "iters" ] ~docv:"I" ~doc:"Time-loop iterations (TOMCATV/SWIM/Jacobi).")
+    & info [ "iters" ] ~docv:"I"
+        ~doc:
+          "Time-loop iterations of the suite's TOMCATV, SWIM and Jacobi; a \
+           $(b,.craft) file fixes its own.")
 
 let width_conv = int_conv ~what:"width" ~expected:"P >= 1" (fun p -> p >= 1)
 
@@ -71,12 +77,6 @@ let pe_arg =
     value & opt width_conv 16
     & info [ "p"; "pe" ] ~docv:"P" ~doc:"Machine width.")
 
-let verify_arg =
-  Arg.(
-    value & opt bool true
-    & info [ "verify" ] ~docv:"BOOL"
-        ~doc:"Check every run against the sequential execution.")
-
 (* bad input met while building from the arguments (an unknown workload
    name, a size a workload rejects, an unreadable file) is a command-line
    error, not an uncaught exception *)
@@ -85,20 +85,6 @@ let checked build =
     try Ok (f ()) with Invalid_argument msg | Sys_error msg -> Error (`Msg msg)
   in
   Term.(cli_parse_result (const run $ build))
-
-(* builds only the named workload, so a size some other workload rejects
-   cannot stop the run *)
-let workload_term =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,ccdp list)).")
-  in
-  checked
-    Term.(
-      const (fun name n iters () -> Suite.find ~n ~iters name)
-      $ name_arg $ n_arg $ iters_arg)
 
 (* the whole suite, at -n and --iters *)
 let suite_term =
@@ -113,21 +99,35 @@ let read_craft path =
     else Printf.eprintf "%s:%d: error: %s\n" path ln msg;
     exit 2
 
+(* a TARGET is a CRAFT file, named by its basename, or else a suite
+   workload at -n and --iters; only the named workload is built, so a size
+   some other workload rejects cannot stop it *)
+let target ~n ~iters t =
+  if Filename.check_suffix t ".craft" then
+    Workload.make
+      ~name:(Filename.remove_extension (Filename.basename t))
+      ~descr:t (read_craft t)
+  else Suite.find ~n ~iters t
+
+let target_doc =
+  "Workload name (see $(b,ccdp list)) or CRAFT-dialect $(b,.craft) source \
+   file."
+
+let target_term =
+  let target_arg =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"TARGET" ~doc:target_doc)
+  in
+  checked
+    Term.(
+      const (fun t n iters () -> target ~n ~iters t)
+      $ target_arg $ n_arg $ iters_arg)
+
 (* --mode and --machine parsing and help text are generated from the
    runtime's own mode list and the machine preset table, so a new mode or
    preset shows up here without touching the CLI. *)
-
-let mode_of_string s =
-  match Ccdp_runtime.Memsys.mode_of_string s with
-  | Some m -> Some m
-  | None -> (
-      (* long-form spellings kept for compatibility *)
-      match String.lowercase_ascii s with
-      | "invalidate" -> Some Ccdp_runtime.Memsys.Invalidate
-      | "incoherent" -> Some Ccdp_runtime.Memsys.Incoherent
-      | "directory" -> Some Ccdp_runtime.Memsys.Directory
-      | "clustered" -> Some Ccdp_runtime.Memsys.Clustered
-      | _ -> None)
 
 let mode_doc =
   String.concat "; "
@@ -141,7 +141,7 @@ let mode_doc =
 
 let mode_conv =
   let parse s =
-    match mode_of_string s with
+    match Ccdp_runtime.Memsys.mode_of_string s with
     | Some m -> Ok m
     | None ->
         Error
@@ -209,11 +209,6 @@ let jobs_arg =
 
 let resolve_jobs jobs = Ccdp_exec.Pool.resolve_jobs ?jobs ()
 
-let print_verification program r =
-  let v = Ccdp_runtime.Verify.against_sequential program ~init:(fun _ -> ()) r in
-  Format.printf "%a@." Ccdp_runtime.Verify.pp_report v;
-  if not v.Ccdp_runtime.Verify.ok then exit 1
-
 (* ---- commands ---- *)
 
 let list_cmd =
@@ -231,10 +226,10 @@ let analyze_cmd =
   in
   Cmd.v
     (info "analyze" ~doc:"Run the compiler pipeline and print its report")
-    Term.(const run $ workload_term $ pe_arg)
+    Term.(const run $ target_term $ pe_arg)
 
 let run_cmd =
-  let run (w : Workload.t) pe mode (_, machine) verify jobs =
+  let run (w : Workload.t) pe mode (_, machine) jobs =
     (* here the pool shards the single run's epochs (Interp's intra-run
        parallelism) rather than a list of runs; the simulated result is
        identical for every job count *)
@@ -242,50 +237,27 @@ let run_cmd =
       Ccdp_core.Experiment.run_mode ~machine ~jobs:(resolve_jobs jobs)
         ~n_pes:pe mode w
     in
-    Format.printf "%a@." Ccdp_runtime.Interp.pp_result r;
-    Format.printf "%a@." Ccdp_runtime.Metrics.pp (Ccdp_runtime.Metrics.of_result r);
-    if verify then print_verification w.program r
+    let epochs =
+      Ccdp_ir.Epoch.partition (Ccdp_ir.Program.inline w.program).main
+    in
+    let v =
+      Ccdp_runtime.Verify.against_sequential w.program ~init:(fun _ -> ()) r
+    in
+    Format.printf "%a@.%a@.%a@.%a@." Ccdp_runtime.Interp.pp_result r
+      (fun ppf -> Ccdp_runtime.Interp.pp_profile ppf epochs)
+      r Ccdp_runtime.Metrics.pp
+      (Ccdp_runtime.Metrics.of_result r)
+      Ccdp_runtime.Verify.pp_report v;
+    if not v.ok then exit 1
   in
   Cmd.v
     (info "run"
        ~doc:
-         "Execute one workload on the machine model and verify it against \
+         "Execute one workload or CRAFT file on the machine model, print its \
+          counters, epoch profile and metrics, and verify it against \
           sequential execution")
     Term.(
-      const run $ workload_term $ pe_arg $ mode_arg $ machine_arg
-      $ verify_arg $ jobs_arg)
-
-let load_cmd =
-  let program_term =
-    let file_arg =
-      Arg.(
-        required
-        & pos 0 (some file) None
-        & info [] ~docv:"FILE" ~doc:"CRAFT-dialect source file.")
-    in
-    checked Term.(const (fun path () -> read_craft path) $ file_arg)
-  in
-  let run program pe mode verify =
-    let s = Ccdp_core.Pipeline.for_mode ~n_pes:pe mode program in
-    (* the report is the compile the run executes; a plan-free mode runs
-       none, so it reports the plain compile at the same width *)
-    let compiled =
-      match s.compiled with
-      | Some c -> c
-      | None ->
-          Ccdp_core.Pipeline.compile (Ccdp_machine.Config.t3d ~n_pes:pe) program
-    in
-    Format.printf "%a@.@." Ccdp_core.Pipeline.report compiled;
-    let r = Ccdp_runtime.Interp.run s.cfg s.program ~plan:s.plan ~mode () in
-    Format.printf "%a@." Ccdp_runtime.Interp.pp_result r;
-    if verify then print_verification program r
-  in
-  Cmd.v
-    (info "load"
-       ~doc:
-         "Parse a CRAFT-dialect source file, compile and execute it, and \
-          verify it against sequential execution")
-    Term.(const run $ program_term $ pe_arg $ mode_arg $ verify_arg)
+      const run $ target_term $ pe_arg $ mode_arg $ machine_arg $ jobs_arg)
 
 let emit_cmd =
   let run (w : Workload.t) pe =
@@ -299,19 +271,7 @@ let emit_cmd =
        ~doc:
          "Print the compiled program as CRAFT-style Fortran with CCDP \
           prefetch annotations")
-    Term.(const run $ workload_term $ pe_arg)
-
-let profile_cmd =
-  let run (w : Workload.t) pe mode =
-    let r = Ccdp_core.Experiment.run_mode ~n_pes:pe mode w in
-    let p = Ccdp_ir.Program.inline w.Workload.program in
-    let ep = Ccdp_ir.Epoch.partition p.Ccdp_ir.Program.main in
-    Ccdp_runtime.Interp.pp_profile Format.std_formatter ep r;
-    Format.print_newline ()
-  in
-  Cmd.v
-    (info "profile" ~doc:"Per-epoch cycle breakdown of one run")
-    Term.(const run $ workload_term $ pe_arg $ mode_arg)
+    Term.(const run $ target_term $ pe_arg)
 
 let parallelize_cmd =
   let run (w : Workload.t) =
@@ -322,7 +282,7 @@ let parallelize_cmd =
   Cmd.v
     (info "parallelize"
        ~doc:"Run the Polaris-style dependence test over a workload")
-    Term.(const run $ workload_term)
+    Term.(const run $ target_term)
 
 let fuzz_cmd =
   let seed_arg =
@@ -417,10 +377,7 @@ let fuzz_cmd =
 
 let check_cmd =
   let targets_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"TARGET"
-          ~doc:"Workload name or CRAFT-dialect $(b,.craft) source file.")
+    Arg.(value & pos_all string [] & info [] ~docv:"TARGET" ~doc:target_doc)
   in
   let all_arg =
     Arg.(
@@ -441,29 +398,25 @@ let check_cmd =
   in
   (* the suite is built only when it is checked, so a size some workload
      rejects cannot stop a check of CRAFT files *)
-  let named_term =
+  let workloads_term =
     let resolve targets all n iters () =
-      let named (w : Workload.t) = (w.name, w.program) in
-      let target t =
-        if Filename.check_suffix t ".craft" then
-          (Filename.remove_extension (Filename.basename t), read_craft t)
-        else named (Suite.find ~n ~iters t)
-      in
-      (if all || targets = [] then List.map named (Suite.all ~n ~iters ())
-       else [])
-      @ List.map target targets
+      (if all || targets = [] then Suite.all ~n ~iters () else [])
+      @ List.map (target ~n ~iters) targets
     in
     checked
       Term.(const resolve $ targets_arg $ all_arg $ n_arg $ iters_arg)
   in
-  let run named pe json werror =
+  let run workloads pe json werror =
     let cfg = Ccdp_machine.Config.t3d ~n_pes:pe in
     let reports =
       List.map
-        (fun (name, program) ->
-          let compiled = Ccdp_core.Pipeline.compile cfg program in
-          { Ccdp_check.Check.name; diags = Ccdp_check.Check.certify compiled })
-        named
+        (fun (w : Workload.t) ->
+          let compiled = Ccdp_core.Pipeline.compile cfg w.program in
+          {
+            Ccdp_check.Check.name = w.name;
+            diags = Ccdp_check.Check.certify compiled;
+          })
+        workloads
     in
     if json then print_string (Ccdp_check.Check.json reports)
     else
@@ -482,7 +435,7 @@ let check_cmd =
          "Statically certify compiled coherence plans: coverage of \
           potentially-stale reads, DOALL race freedom, prefetch sizing \
           lints")
-    Term.(const run $ named_term $ pe_arg $ json_arg $ werror_arg)
+    Term.(const run $ workloads_term $ pe_arg $ json_arg $ werror_arg)
 
 let perf_cmd =
   let run (w : Workload.t) pe mode (_, machine) jobs =
@@ -502,7 +455,7 @@ let perf_cmd =
           tree-walking engine (identical simulated cycles, host wall-clock \
           and allocation compared), as one cell of $(b,ccdp bench perf)")
     Term.(
-      const run $ workload_term $ pe_arg $ mode_arg $ machine_arg $ jobs_arg)
+      const run $ target_term $ pe_arg $ mode_arg $ machine_arg $ jobs_arg)
 
 let bench_cmd =
   let studies_arg =
@@ -559,8 +512,8 @@ let main =
     (Cmd.info "ccdp" ~version:"1.0" ~exits
        ~doc:"Compiler-directed cache coherence with data prefetching (Lim & Yew, IPPS'97)")
     [
-      list_cmd; analyze_cmd; run_cmd; parallelize_cmd; profile_cmd; emit_cmd;
-      load_cmd; check_cmd; fuzz_cmd; perf_cmd; bench_cmd;
+      list_cmd; analyze_cmd; run_cmd; parallelize_cmd; emit_cmd; check_cmd;
+      fuzz_cmd; perf_cmd; bench_cmd;
     ]
 
 let () = exit (Cmd.eval main)

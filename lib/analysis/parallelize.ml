@@ -182,14 +182,16 @@ type report = {
   rejected : (int * string * verdict) list;
 }
 
-let default_sched (l : Stmt.loop) =
+(* aligned to the loop's constant extent when it resolves, else static
+   block *)
+let sched (l : Stmt.loop) =
   match (l.Stmt.lo, l.Stmt.hi) with
   | Bound.Known lo, Bound.Known hi
     when Affine.is_const lo && Affine.is_const hi ->
       Stmt.Static_aligned (Affine.const_part hi + 1)
   | _ -> Stmt.Static_block
 
-let transform ?(sched = default_sched) (p : Program.t) =
+let transform (p : Program.t) =
   if p.Program.procs <> [] then
     invalid_arg "Parallelize.transform: inline procedures first";
   let promoted = ref [] and rejected = ref [] in

@@ -48,13 +48,9 @@ type report = {
 }
 
 (** Promote every outermost parallelizable serial loop of the (call-free)
-    main body to a DOALL. [sched] picks the schedule for promoted loops
-    (default: aligned to the loop's constant extent when resolvable, else
-    static block). *)
-val transform :
-  ?sched:(Ccdp_ir.Stmt.loop -> Ccdp_ir.Stmt.sched) ->
-  Ccdp_ir.Program.t ->
-  Ccdp_ir.Program.t * report
+    main body to a DOALL, scheduled aligned to the loop's constant extent
+    when it resolves, else static block. *)
+val transform : Ccdp_ir.Program.t -> Ccdp_ir.Program.t * report
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -5,7 +5,10 @@ let stmt_mem_cost (cfg : Ccdp_machine.Config.t) s =
   let writes = match Stmt.direct_write s with Some _ -> 1 | None -> 0 in
   (reads * cfg.hit) + (writes * cfg.store_local)
 
-let rec stmts_cycles cfg ?(default_trip = 8) env stmts =
+(* the trip count assumed for a loop whose bounds do not resolve *)
+let default_trip = 8
+
+let rec stmts_cycles cfg env stmts =
   List.fold_left
     (fun acc s ->
       acc
@@ -16,11 +19,10 @@ let rec stmts_cycles cfg ?(default_trip = 8) env stmts =
       | Stmt.Critical c ->
           cfg.Ccdp_machine.Config.lock_acquire
           + cfg.Ccdp_machine.Config.lock_release
-          + stmts_cycles cfg ~default_trip env c.Stmt.cbody
+          + stmts_cycles cfg env c.Stmt.cbody
       | Stmt.If (_, t, e) ->
           Stmt.direct_flops s
-          + max (stmts_cycles cfg ~default_trip env t)
-              (stmts_cycles cfg ~default_trip env e)
+          + max (stmts_cycles cfg env t) (stmts_cycles cfg env e)
       | Stmt.For l ->
           let trip =
             match Iterspace.trip_count l env with
@@ -34,12 +36,12 @@ let rec stmts_cycles cfg ?(default_trip = 8) env stmts =
             | _ -> env
           in
           trip
-          * (stmts_cycles cfg ~default_trip env' l.body
+          * (stmts_cycles cfg env' l.body
             + cfg.Ccdp_machine.Config.loop_overhead)
       | Stmt.Call _ -> 0)
     0 stmts
 
-let iter_cycles cfg ?(default_trip = 8) env (l : Stmt.loop) =
+let iter_cycles cfg env (l : Stmt.loop) =
   let env' =
     match (Iterspace.bound_range l.lo env, Iterspace.bound_range l.hi env) with
     | Some (lo, _), Some (_, hi) when lo <= hi ->
@@ -47,8 +49,7 @@ let iter_cycles cfg ?(default_trip = 8) env (l : Stmt.loop) =
     | _ -> env
   in
   max 1
-    (stmts_cycles cfg ~default_trip env' l.body
-    + cfg.Ccdp_machine.Config.loop_overhead)
+    (stmts_cycles cfg env' l.body + cfg.Ccdp_machine.Config.loop_overhead)
 
 let words_read_per_iter ~decl_of (l : Stmt.loop) =
   Stmt.fold

@@ -8,16 +8,14 @@
     the safe direction for timeliness. *)
 
 (** Estimated cycles of a statement list executed once. Nested loops
-    multiply by their trip count, [default_trip] when unknown; branches
-    contribute the larger arm. *)
+    multiply by their trip count, 8 when unknown; branches contribute the
+    larger arm. *)
 val stmts_cycles :
-  Ccdp_machine.Config.t -> ?default_trip:int -> Iterspace.env -> Ccdp_ir.Stmt.t list
-  -> int
+  Ccdp_machine.Config.t -> Iterspace.env -> Ccdp_ir.Stmt.t list -> int
 
 (** Estimated cycles of one iteration of the loop body. *)
 val iter_cycles :
-  Ccdp_machine.Config.t -> ?default_trip:int -> Iterspace.env -> Ccdp_ir.Stmt.loop
-  -> int
+  Ccdp_machine.Config.t -> Iterspace.env -> Ccdp_ir.Stmt.loop -> int
 
 (** Words of shared data read per iteration (queue-pressure input). *)
 val words_read_per_iter :

@@ -19,7 +19,6 @@ let lints (t : Pipeline.t) =
 let certify t = List.sort Diag.compare (coverage t @ races t @ lints t)
 
 let errors ds = List.filter (fun d -> d.Diag.severity = Diag.Error) ds
-let has_errors ds = List.exists (fun d -> d.Diag.severity = Diag.Error) ds
 
 type report = { name : string; diags : Diag.t list }
 

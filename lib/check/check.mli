@@ -21,8 +21,8 @@ val races : Ccdp_core.Pipeline.t -> Diag.t list
 (** All passes, sorted in report order. *)
 val certify : Ccdp_core.Pipeline.t -> Diag.t list
 
+(** The error-severity findings. *)
 val errors : Diag.t list -> Diag.t list
-val has_errors : Diag.t list -> bool
 
 type report = { name : string; diags : Diag.t list }
 

@@ -44,8 +44,11 @@ type t
 (** One engine timing: a (workload, mode, engine) cell of [ccdp bench perf].
     [p_engine] is ["plan"] ({!Ccdp_runtime.Interp}) or ["ref"]
     ({!Ccdp_runtime.Interp_ref}); [p_jobs] is the intra-run shard count
-    the cell ran with (1 = serial); [p_minor_words] is the
-    [Gc.minor_words] delta of the run. *)
+    the cell ran with (1 = serial); [p_minor_words] is the run's
+    minor-heap allocation summed over every domain it ran on
+    ({!Ccdp_exec.Pool.all_minor_words}): exact on a serial row, where it
+    repeats from run to run of one binary, and off by tens of words on a
+    sharded row, where it varies with the pool's scheduling. *)
 type perf_row = {
   p_workload : string;
   p_mode : string;

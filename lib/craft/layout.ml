@@ -50,20 +50,8 @@ let dim_pattern t d =
   | Dist.Replicated -> Dist.Degenerate
   | Dist.Dims dims -> dims.(d)
 
-let owner t idx =
-  match t.ddim with
-  | None -> if t.decl.dist = Dist.Replicated then `Local else `Pe 0
-  | Some d -> (
-      let i = idx.(d) in
-      match dim_pattern t d with
-      | Dist.Block -> `Pe (i / t.chunk)
-      | Dist.Cyclic -> `Pe (i mod t.n_pes)
-      | Dist.Block_cyclic w -> `Pe (i / w mod t.n_pes)
-      | Dist.Degenerate -> assert false)
-
-(* Allocation-free owner: [-1] encodes "local to every PE" (replicated /
-   private data), any other value the owning PE id. Hot-path twin of
-   [owner], which boxes a polymorphic variant per call. *)
+(* [-1] encodes "local to every PE" (replicated / private data), any other
+   value the owning PE id: no variant to box per call *)
 let owner_id t idx =
   match t.ddim with
   | None -> if t.decl.dist = Dist.Replicated then -1 else 0

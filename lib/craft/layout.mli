@@ -16,14 +16,10 @@ type t = private {
 
 val make : n_pes:int -> Ccdp_ir.Array_decl.t -> t
 
-(** Owning PE of an element. Replicated arrays return [`Local]: every PE
-    reads its own copy. *)
-val owner : t -> int array -> [ `Pe of int | `Local ]
-
-(** Allocation-free owner for the simulator's per-access path: [-1] means
-    local to every PE (replicated data), otherwise the owning PE id
-    (replicating [owner]'s [`Pe] cases, with undistributed shared arrays on
-    PE 0). *)
+(** Owning PE of an element, allocation-free for the simulator's
+    per-access path: [-1] for replicated data (every PE reads its own
+    copy), otherwise the owning PE id, undistributed shared arrays living
+    on PE 0. *)
 val owner_id : t -> int array -> int
 
 (** Word offset of an element inside its owner's portion of this array. *)

@@ -119,8 +119,8 @@ let candidates (d : desc) =
        else []);
     ]
 
-let minimize ?(max_steps = 400) d ~still_fails =
-  let budget = ref max_steps in
+let minimize d ~still_fails =
+  let budget = ref 400 in
   (* a candidate that fails to re-validate is skipped without consuming
      budget; a predicate that crashes on a candidate did not reproduce the
      original failure (the bug under minimization is the predicate's

@@ -17,6 +17,5 @@ val candidates : Gen.desc -> Gen.desc list
     skipped without consuming budget), and a predicate that raises on a
     candidate counts as not failing — minimization never crashes and never
     walks into an ill-formed description. [still_fails d] must be
-    deterministic. [max_steps] bounds the number of predicate evaluations
-    (default 400). *)
-val minimize : ?max_steps:int -> Gen.desc -> still_fails:(Gen.desc -> bool) -> Gen.desc
+    deterministic. At most 400 predicate evaluations are made. *)
+val minimize : Gen.desc -> still_fails:(Gen.desc -> bool) -> Gen.desc

@@ -61,24 +61,6 @@ let note_eviction t slot line =
     t.last_ev_state <- 0
   end
 
-let fill t ?(tick = 0) ?vers ?(state = 1) ~line payload =
-  if Array.length payload <> t.lwords then invalid_arg "Cache.fill: payload size";
-  (match vers with
-  | Some v when Array.length v <> t.lwords ->
-      invalid_arg "Cache.fill: version payload size"
-  | Some _ | None -> ());
-  let slot = line mod t.sets in
-  note_eviction t slot line;
-  let evicted = if t.last_ev_line >= 0 then Some t.last_ev_line else None in
-  t.tags.(slot) <- line;
-  Array.blit payload 0 t.data (slot * t.lwords) t.lwords;
-  (match vers with
-  | Some v -> Array.blit v 0 t.vers (slot * t.lwords) t.lwords
-  | None -> Array.fill t.vers (slot * t.lwords) t.lwords 0);
-  t.fill_ticks.(slot) <- tick;
-  t.states.(slot) <- state;
-  evicted
-
 let fill_from t ~tick ~state ~vers ~line ~src ~pos =
   let slot = line mod t.sets in
   note_eviction t slot line;

@@ -36,32 +36,21 @@ val data_at : t -> int -> float array -> int -> unit
 (** Hit test. *)
 val probe_line : t -> line:int -> bool
 
-(** Install a line (payload must have length [line_words]) in its slot.
-    Returns the evicted line address, if a different valid line was
-    displaced. [tick] stamps the fill time for
-    timestamp-based (HSCD) self-invalidation checks. [vers] stamps the
-    per-word version tags of the payload (the staleness oracle compares
-    them against memory's write versions); absent, the tags reset to 0.
-    [state] is the line's protocol state ({!Ccdp_machine.Coherence} names
-    the encoding; default [Coherence.shared]). *)
-val fill :
-  t -> ?tick:int -> ?vers:int array -> ?state:int -> line:int -> float array ->
-  int option
-
-(** Scratch-free fill for the simulator's per-access path: blits the line's
-    [line_words] payload straight out of [src] starting at word [pos]
-    (memory itself), avoiding the [Array.sub] copy {!fill} requires. [vers]
-    are per-word version stamps read at the same [pos]; pass [[||]] to reset
-    the stamps to 0. [tick] and [state] are {!fill}'s, passed every time
-    (an optional argument would allocate its [Some]). Same slot as
-    {!fill}; the displaced line is reported through
+(** Install a line in its slot, blitting its [line_words] payload
+    straight out of [src] starting at word [pos] (memory itself, with no
+    copy). [vers] are per-word version stamps read at the same [pos] (the
+    staleness oracle compares them against memory's write versions); pass
+    [[||]] to reset the stamps to 0. [tick] stamps the fill time for
+    timestamp-based (HSCD) self-invalidation checks; [state] is the line's
+    protocol state ({!Ccdp_machine.Coherence} names the encoding). The
+    displaced line is reported through
     {!last_evicted_line}/{!last_evicted_state} rather than a return value,
-    keeping the common path allocation-free. *)
+    keeping the per-access path allocation-free. *)
 val fill_from :
   t -> tick:int -> state:int -> vers:int array -> line:int ->
   src:float array -> pos:int -> unit
 
-(** Line displaced by the most recent {!fill}/{!fill_from} (-1 = none —
+(** Line displaced by the most recent {!fill_from} (-1 = none —
     the slot was empty or the line was already resident). Scratch state:
     read it immediately after the fill. *)
 val last_evicted_line : t -> int

@@ -19,7 +19,6 @@ module Dir = struct
      removal are single loads on any realistic machine width; [owner] is
      the PE holding the line Modified (-1 = line clean everywhere). *)
   type t = {
-    n_pes : int;
     bwords : int;  (** presence words per line *)
     presence : int array;  (** n_lines * bwords, row-major *)
     owner : int array;  (** n_lines; -1 = no dirty owner *)
@@ -29,7 +28,6 @@ module Dir = struct
     if n_pes <= 0 || n_lines < 0 then invalid_arg "Coherence.Dir.create";
     let bwords = ((n_pes + 62) / 63) in
     {
-      n_pes;
       bwords;
       presence = Array.make (max 1 (n_lines * bwords)) 0;
       owner = Array.make (max 1 n_lines) (-1);

@@ -67,13 +67,6 @@ let target_of h ~pe ~addr =
 let all_copies t name idx =
   let lay = layout t name in
   let off = base t name + Ccdp_craft.Layout.local_offset lay idx in
-  match Ccdp_craft.Layout.owner lay idx with
-  | `Local -> List.init t.np (fun pe -> (pe * t.span) + off)
-  | `Pe owner -> [ (owner * t.span) + off ]
-
-let canonical t name idx =
-  let lay = layout t name in
-  let off = base t name + Ccdp_craft.Layout.local_offset lay idx in
-  match Ccdp_craft.Layout.owner lay idx with
-  | `Local -> off
-  | `Pe owner -> (owner * t.span) + off
+  match Ccdp_craft.Layout.owner_id lay idx with
+  | -1 -> List.init t.np (fun pe -> (pe * t.span) + off)
+  | owner -> [ (owner * t.span) + off ]

@@ -49,7 +49,3 @@ val target_of : handle -> pe:int -> addr:int -> int
 (** Addresses of an element in {e every} copy (one for distributed arrays,
     [n_pes] for replicated ones) — used by initialization. *)
 val all_copies : t -> string -> int array -> int list
-
-(** Owner-copy address (PE-0 copy for replicated arrays) — used to read
-    results back. *)
-val canonical : t -> string -> int array -> int

@@ -388,7 +388,8 @@ let set t name idx v =
       | None -> ())
     (Addr_map.all_copies t.amap name idx)
 
-let get t name idx = t.mem.(Addr_map.canonical t.amap name idx)
+let get t name idx =
+  t.mem.(Addr_map.resolve_h (Addr_map.handle t.amap name) ~pe:0 idx)
 let reg t ~pe = t.ctxs.(pe).reg
 let charge t ~pe c =
   let ctx = t.ctxs.(pe) in

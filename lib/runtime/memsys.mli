@@ -123,7 +123,8 @@ val machine : t -> Ccdp_machine.Machine.t
 (** Set an element in every copy (owner + replicas). *)
 val set : t -> string -> int array -> float -> unit
 
-(** Read the canonical (owner) copy from memory. *)
+(** Read the canonical copy from memory: the owner's, PE 0's for
+    replicated data. *)
 val get : t -> string -> int array -> float
 
 (** The memory words themselves, indexed by global address ({!Addr_map}).

@@ -18,8 +18,7 @@ type report = {
    index advanced column-major in place (the order [point_of_linear]
    enumerates), and the PE-0 address as the canonical copy — the owner's
    for distributed data, PE 0's for replicated data, as [Memsys.get]. *)
-let compare_states ?(max_report = 5) ~expected ~got
-    (program : Program.t) =
+let compare_states ~expected ~got (program : Program.t) =
   let ew = Memsys.words expected and gw = Memsys.words got in
   let checked = ref 0 in
   let bad = ref 0 in
@@ -41,7 +40,7 @@ let compare_states ?(max_report = 5) ~expected ~got
           (* a NaN on exactly one side differs by NaN, which [d > 0.0]
              does not catch; NaN on both sides is agreement *)
           if d > 0.0 || Float.is_nan e <> Float.is_nan g then begin
-            if !bad < max_report then
+            if !bad < 5 then
               mismatches :=
                 {
                   array_name = a.name;

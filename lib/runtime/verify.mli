@@ -18,7 +18,7 @@ type mismatch = {
 type report = {
   ok : bool;
   checked : int;  (** elements compared *)
-  mismatches : mismatch list;  (** first few offenders *)
+  mismatches : mismatch list;  (** the first five offenders *)
   max_abs_diff : float;  (** over the elements whose difference is a number *)
 }
 
@@ -27,8 +27,7 @@ type report = {
     exactly one side is a mismatch; NaN on both sides agrees. The walk
     allocates nothing per element. *)
 val compare_states :
-  ?max_report:int -> expected:Memsys.t -> got:Memsys.t ->
-  Ccdp_ir.Program.t -> report
+  expected:Memsys.t -> got:Memsys.t -> Ccdp_ir.Program.t -> report
 
 (** Compare the given result against the program's sequential execution
     from the same [init]: the value-only {!Seq_oracle} on the result's

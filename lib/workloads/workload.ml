@@ -1,11 +1,3 @@
 type t = { name : string; descr : string; program : Ccdp_ir.Program.t }
 
 let make ~name ~descr program = { name; descr; program }
-
-let find ws name =
-  match List.find_opt (fun w -> String.equal w.name name) ws with
-  | Some w -> w
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Workload.find: unknown workload %s (have: %s)" name
-           (String.concat ", " (List.map (fun w -> w.name) ws)))

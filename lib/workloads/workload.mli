@@ -12,4 +12,3 @@ type t = {
 }
 
 val make : name:string -> descr:string -> Ccdp_ir.Program.t -> t
-val find : t list -> string -> t

@@ -55,10 +55,8 @@ let () =
   print (report "racy.craft" (compile (Ccdp_ir.Craft_parse.file racy)));
   print (report "onesided.craft" (compile (Ccdp_ir.Craft_parse.file onesided)));
   print (report "badred.craft" (compile (Ccdp_ir.Craft_parse.file badred)));
-  let mxm = (Ccdp_workloads.Workload.find (Suite.all ()) "mxm").program in
-  let tomcatv =
-    (Ccdp_workloads.Workload.find (Suite.all ()) "tomcatv").program
-  in
+  let mxm = (Suite.find "mxm").program in
+  let tomcatv = (Suite.find "tomcatv").program in
   print (report "mxm+dropped-stale-mark" (compile ~mutate_stale:drop_first mxm));
   (let t = compile tomcatv in
    let lead =

@@ -39,19 +39,26 @@ let cases ~heat2d ~malformed ~zerodim =
     ([], [ "ablate" ]);
     ([], [ "sweep" ]);
     ([], [ "bench"; "--full" ]);
+    (* one command runs a program: no [load] or [profile], no way to skip
+       verification, and only the modes' own short names *)
+    ([], [ "load" ]);
+    ([], [ "profile" ]);
+    ([], [ "run"; "mxm"; "--verify"; "false" ]);
+    ([], [ "run"; "mxm"; "--mode"; "invalidate" ]);
     (* unknown names and missing files *)
     ([], [ "bench"; "tabel1" ]);
     ([], [ "bench"; "micro" ]);
     ([], [ "bench"; "--machine"; "nosuch" ]);
     ([], [ "run"; "nosuch" ]);
     ([], [ "check"; "nosuch" ]);
-    ([], [ "load"; "nosuch.craft" ]);
+    ([], [ "run"; "nosuch.craft" ]);
     ([], [ "check"; "nosuch.craft" ]);
-    (* a malformed CRAFT file, through both readers *)
-    ([], [ "load"; malformed ]);
+    (* a malformed CRAFT file, through the one TARGET reader *)
+    ([], [ "run"; malformed ]);
+    ([], [ "analyze"; malformed ]);
     ([], [ "check"; malformed ]);
-    (* a zero-size array dimension, through both readers *)
-    ([], [ "load"; zerodim ]);
+    (* a zero-size array dimension, likewise *)
+    ([], [ "run"; zerodim ]);
     ([], [ "check"; zerodim ]);
   ]
 

@@ -13,6 +13,13 @@ let case name f = Alcotest.test_case name `Quick f
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
+(* install a whole [payload] line with [Cache.fill_from] (shared state,
+   tick and version tags 0), returning the line it displaced, if any *)
+let cache_fill c ~line payload =
+  Ccdp_machine.Cache.fill_from c ~tick:0 ~state:Ccdp_machine.Coherence.shared
+    ~vers:[||] ~line ~src:payload ~pos:0;
+  match Ccdp_machine.Cache.last_evicted_line c with -1 -> None | l -> Some l
+
 (* enumerate an arithmetic-progression dimension *)
 let enum_dim (d : Section.dim) =
   let rec go x acc = if x > d.Section.hi then List.rev acc else go (x + d.Section.step) (x :: acc) in

@@ -23,6 +23,10 @@ let resolve m ~pe name idx =
   let a = Addr_map.resolve_h h ~pe idx in
   (a, Addr_map.target_of h ~pe ~addr:a)
 
+(* the canonical copy, the owner's (PE 0's for replicated data): the
+   address as PE 0 sees it, which is how Memsys.get reads results back *)
+let canonical m name idx = fst (resolve m ~pe:0 name idx)
+
 let tests =
   [
     case "resolve distributed: owner-local vs remote" (fun () ->
@@ -47,7 +51,7 @@ let tests =
         check_int "1 copy" 1 (List.length (Addr_map.all_copies m "A" [| 0; 0 |])));
     case "canonical picks the owner copy" (fun () ->
         let m = map () in
-        let c = Addr_map.canonical m "A" [| 0; 5 |] in
+        let c = canonical m "A" [| 0; 5 |] in
         let a, _ = resolve m ~pe:2 "A" [| 0; 5 |] in
         check_int "owner copy" a c);
     case "distinct elements get distinct addresses" (fun () ->
@@ -55,7 +59,7 @@ let tests =
         let seen = Hashtbl.create 64 in
         for i = 0 to 7 do
           for j = 0 to 7 do
-            let a = Addr_map.canonical m "A" [| i; j |] in
+            let a = canonical m "A" [| i; j |] in
             check_false "dup" (Hashtbl.mem seen a);
             Hashtbl.replace seen a ()
           done
@@ -77,8 +81,8 @@ let tests =
         let p = B.finish b [ Stmt.Assign (B.ref_ b "X" [ B.A.c 0; B.A.c 0 ], F.const 0.0) ] in
         let m = Addr_map.make p ~n_pes:4 ~line_words:4 ~cache_lines:256 ()
         in
-        let ax = Addr_map.canonical m "X" [| 0; 0 |] in
-        let ay = Addr_map.canonical m "Y" [| 0; 0 |] in
+        let ax = canonical m "X" [| 0; 0 |] in
+        let ay = canonical m "Y" [| 0; 0 |] in
         check_false "different sets" (ax / 4 mod 256 = ay / 4 mod 256));
   ]
 
@@ -91,7 +95,7 @@ let round_trips =
         let m = map () in
         for i = 0 to 7 do
           for j = 0 to 7 do
-            let c = Addr_map.canonical m "A" [| i; j |] in
+            let c = canonical m "A" [| i; j |] in
             let owner = c / Addr_map.pe_span m in
             let a, w = resolve m ~pe:owner "A" [| i; j |] in
             check_int "same address" c a;

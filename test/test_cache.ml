@@ -10,42 +10,42 @@ let basic =
     case "miss then hit after fill" (fun () ->
         let c = mk () in
         check_true "miss" (Cache.read c ~addr:12 = None);
-        ignore (Cache.fill c ~line:3 (payload 7.0));
+        ignore (cache_fill c ~line:3 (payload 7.0));
         check_true "hit" (Cache.read c ~addr:12 = Some 7.0);
         check_true "word select" (Cache.read c ~addr:15 = Some 7.0));
     case "fill evicts the conflicting line (direct-mapped)" (fun () ->
         let c = mk () in
-        ignore (Cache.fill c ~line:1 (payload 1.0));
-        let evicted = Cache.fill c ~line:9 (payload 2.0) in
+        ignore (cache_fill c ~line:1 (payload 1.0));
+        let evicted = cache_fill c ~line:9 (payload 2.0) in
         check_true "evicted line 1" (evicted = Some 1);
         check_true "old gone" (Cache.read c ~addr:4 = None);
         check_true "new present" (Cache.read c ~addr:36 = Some 2.0));
     case "refilling the same line reports no eviction" (fun () ->
         let c = mk () in
-        ignore (Cache.fill c ~line:1 (payload 1.0));
-        check_true "none" (Cache.fill c ~line:1 (payload 3.0) = None);
+        ignore (cache_fill c ~line:1 (payload 1.0));
+        check_true "none" (cache_fill c ~line:1 (payload 3.0) = None);
         check_true "updated" (Cache.read c ~addr:4 = Some 3.0));
     case "update_if_present patches only resident lines" (fun () ->
         let c = mk () in
         let mem = Array.make 4 9.0 in
         Cache.update_if_present c ~mem ~addr:0 ~ver:(-1);
         check_true "still miss" (Cache.read c ~addr:0 = None);
-        ignore (Cache.fill c ~line:0 (payload 1.0));
+        ignore (cache_fill c ~line:0 (payload 1.0));
         Cache.update_if_present c ~mem ~addr:2 ~ver:(-1);
         check_true "patched" (Cache.read c ~addr:2 = Some 9.0);
         check_true "neighbours kept" (Cache.read c ~addr:1 = Some 1.0));
     case "invalidate_line removes exactly one line" (fun () ->
         let c = mk () in
-        ignore (Cache.fill c ~line:0 (payload 1.0));
-        ignore (Cache.fill c ~line:1 (payload 2.0));
+        ignore (cache_fill c ~line:0 (payload 1.0));
+        ignore (cache_fill c ~line:1 (payload 2.0));
         Cache.invalidate_line c ~line:0;
         check_true "gone" (Cache.read c ~addr:0 = None);
         check_true "kept" (Cache.read c ~addr:4 = Some 2.0);
         check_int "valid" 1 (Cache.valid_lines c));
     case "invalidate_all clears everything" (fun () ->
         let c = mk () in
-        ignore (Cache.fill c ~line:0 (payload 1.0));
-        ignore (Cache.fill c ~line:1 (payload 2.0));
+        ignore (cache_fill c ~line:0 (payload 1.0));
+        ignore (cache_fill c ~line:1 (payload 2.0));
         Cache.invalidate_all c;
         check_int "valid" 0 (Cache.valid_lines c));
     case "of_config matches the machine geometry" (fun () ->
@@ -60,20 +60,20 @@ let props =
       QCheck.(int_range 0 100)
       (fun line ->
         let c = mk () in
-        ignore (Cache.fill c ~line (payload (float_of_int line)));
+        ignore (cache_fill c ~line (payload (float_of_int line)));
         Cache.read c ~addr:(line * 4) = Some (float_of_int line));
     qcheck "valid_lines never exceeds capacity"
       QCheck.(list_of_size (QCheck.Gen.int_range 0 50) (int_range 0 100))
       (fun lines ->
         let c = mk () in
-        List.iter (fun l -> ignore (Cache.fill c ~line:l (payload 0.0))) lines;
+        List.iter (fun l -> ignore (cache_fill c ~line:l (payload 0.0))) lines;
         Cache.valid_lines c <= 8);
   ]
 
 (* Model-based replacement properties: a naive model holding at most one
    line per set must agree with the real cache on every hit, every
-   eviction tag, slot reuse on refill, and final occupancy — for fill and
-   for the blit-based fill_from alike. *)
+   eviction tag, slot reuse on refill, and final occupancy — for a line
+   blitted from its own payload and from its place in memory alike. *)
 
 let model_sets = 4
 
@@ -117,7 +117,7 @@ let fill_props =
         List.iter
           (fun (is_fill, line) ->
             if is_fill then
-              evs := Cache.fill c ~line (payload (float_of_int line)) :: !evs
+              evs := cache_fill c ~line (payload (float_of_int line)) :: !evs
             else rds := Cache.read c ~addr:(line * 4) :: !rds)
           ops;
         List.rev !evs = m_evs && List.rev !rds = m_rds
@@ -133,7 +133,7 @@ let fill_props =
         List.for_all
           (fun (is_fill, line) ->
             if is_fill then begin
-              ignore (Cache.fill c ~line (payload (float_of_int line)));
+              ignore (cache_fill c ~line (payload (float_of_int line)));
               Cache.fill_from c' ~tick:0 ~state:1 ~vers:[||] ~line ~src:mem ~pos:(line * 4);
               true
             end

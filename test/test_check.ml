@@ -33,7 +33,7 @@ let compile ?tuning ?prefetch_clean ?mutate_stale p =
   Pipeline.compile cfg ?tuning ?prefetch_clean ?mutate_stale p
 
 let workload name =
-  (Workload.find (Suite.all ()) name).Ccdp_workloads.Workload.program
+  (Suite.find name).Ccdp_workloads.Workload.program
 
 let codes ds =
   List.sort_uniq compare (List.map (fun d -> Diag.code_string d.Diag.code) ds)
@@ -206,8 +206,7 @@ let fault_suite =
         in
         let ds = Check.certify t in
         check_true "CCDP-W001 raised" (has_code "CCDP-W001" ds);
-        check_true "error severity gates"
-          (Check.has_errors ds));
+        check_true "error severity gates" (Check.errors ds <> []));
     case "W001 points at the victim reference" (fun () ->
         let t = compile (workload "mxm") in
         let victim = List.hd (Stale.stale_ids t.Pipeline.stale) in
@@ -271,7 +270,7 @@ let fault_suite =
             Hashtbl.replace t.Pipeline.plan.Annot.classes id Annot.Bypass;
             let ds = Check.certify t in
             check_true "CCDP-W004 raised" (has_code "CCDP-W004" ds);
-            check_true "warning only, not gating" (not (Check.has_errors ds)));
+            check_true "warning only, not gating" (Check.errors ds = []));
     case "W004 is suppressed under prefetch_clean" (fun () ->
         let t = compile ~prefetch_clean:true (workload "mxm") in
         let clean =

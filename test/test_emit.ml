@@ -2,7 +2,7 @@ open Ccdp_workloads
 open Ccdp_test_support.Tutil
 
 let emit name =
-  let w = Workload.find (Suite.all ~n:16 ~iters:2 ()) name in
+  let w = Suite.find ~n:16 ~iters:2 name in
   let cfg = Ccdp_machine.Config.t3d ~n_pes:4 in
   Ccdp_core.Craft_emit.to_string (Ccdp_core.Pipeline.compile cfg w.Workload.program)
 

@@ -9,30 +9,30 @@ let owners =
   [
     case "block: columns map to contiguous owners" (fun () ->
         let l = block_cols 8 4 in
-        check_true "col0" (Layout.owner l [| 0; 0 |] = `Pe 0);
-        check_true "col1" (Layout.owner l [| 5; 1 |] = `Pe 0);
-        check_true "col2" (Layout.owner l [| 0; 2 |] = `Pe 1);
-        check_true "col7" (Layout.owner l [| 0; 7 |] = `Pe 3));
+        check_true "col0" (Layout.owner_id l [| 0; 0 |] = 0);
+        check_true "col1" (Layout.owner_id l [| 5; 1 |] = 0);
+        check_true "col2" (Layout.owner_id l [| 0; 2 |] = 1);
+        check_true "col7" (Layout.owner_id l [| 0; 7 |] = 3));
     case "cyclic: columns deal round-robin" (fun () ->
         let l = cyclic_cols 8 4 in
-        check_true "col0" (Layout.owner l [| 0; 0 |] = `Pe 0);
-        check_true "col5" (Layout.owner l [| 0; 5 |] = `Pe 1);
-        check_true "col7" (Layout.owner l [| 0; 7 |] = `Pe 3));
+        check_true "col0" (Layout.owner_id l [| 0; 0 |] = 0);
+        check_true "col5" (Layout.owner_id l [| 0; 5 |] = 1);
+        check_true "col7" (Layout.owner_id l [| 0; 7 |] = 3));
     case "replicated arrays are local everywhere" (fun () ->
         let l = Layout.make ~n_pes:4 (Array_decl.make "R" [| 4 |] ~dist:Dist.replicated) in
-        check_true "local" (Layout.owner l [| 2 |] = `Local));
+        check_true "local" (Layout.owner_id l [| 2 |] = -1));
     case "undistributed shared array lives on PE 0" (fun () ->
         let l = Layout.make ~n_pes:4 (Array_decl.make "S" [| 4 |]
           ~dist:(Dist.Dims [| Dist.Degenerate |])) in
-        check_true "pe0" (Layout.owner l [| 3 |] = `Pe 0));
+        check_true "pe0" (Layout.owner_id l [| 3 |] = 0));
     case "block_cyclic interleaves blocks" (fun () ->
         let l =
           Layout.make ~n_pes:2
             (Array_decl.make "A" [| 2; 8 |] ~dist:(Dist.Dims [| Dist.Degenerate; Dist.Block_cyclic 2 |]))
         in
-        check_true "cols 0-1 pe0" (Layout.owner l [| 0; 1 |] = `Pe 0);
-        check_true "cols 2-3 pe1" (Layout.owner l [| 0; 2 |] = `Pe 1);
-        check_true "cols 4-5 pe0" (Layout.owner l [| 0; 4 |] = `Pe 0));
+        check_true "cols 0-1 pe0" (Layout.owner_id l [| 0; 1 |] = 0);
+        check_true "cols 2-3 pe1" (Layout.owner_id l [| 0; 2 |] = 1);
+        check_true "cols 4-5 pe0" (Layout.owner_id l [| 0; 4 |] = 0));
   ]
 
 let offsets =
@@ -116,21 +116,20 @@ let props =
       QCheck.(pair (int_range 0 7) (int_range 0 7))
       (fun (i, j) ->
         let l = block_cols 8 4 in
-        match Layout.owner l [| i; j |] with
-        | `Pe p -> Section.mem (Layout.owned_section l p) [| i; j |]
-        | `Local -> false);
+        let p = Layout.owner_id l [| i; j |] in
+        p >= 0 && Section.mem (Layout.owned_section l p) [| i; j |]);
     qcheck "owner matches owned_section membership (cyclic)"
       QCheck.(pair (int_range 0 7) (int_range 0 7))
       (fun (i, j) ->
         let l = cyclic_cols 8 4 in
-        match Layout.owner l [| i; j |] with
-        | `Pe p -> Section.mem (Layout.owned_section l p) [| i; j |]
-        | `Local -> false);
+        let p = Layout.owner_id l [| i; j |] in
+        p >= 0 && Section.mem (Layout.owned_section l p) [| i; j |]);
     qcheck "local_offset is injective per PE (block)"
       QCheck.(pair (pair (int_range 0 7) (int_range 0 7)) (pair (int_range 0 7) (int_range 0 7)))
       (fun ((i1, j1), (i2, j2)) ->
         let l = block_cols 8 4 in
-        let o1 = Layout.owner l [| i1; j1 |] and o2 = Layout.owner l [| i2; j2 |] in
+        let o1 = Layout.owner_id l [| i1; j1 |]
+        and o2 = Layout.owner_id l [| i2; j2 |] in
         o1 <> o2
         || (i1, j1) = (i2, j2)
         || Layout.local_offset l [| i1; j1 |] <> Layout.local_offset l [| i2; j2 |]);

@@ -17,8 +17,8 @@ let config_tests =
         check_int "256 lines" 256 (Config.lines c);
         (* direct-mapped: lines one cache size apart share their only slot *)
         let cache = Cache.of_config c and line = Array.make 4 0.0 in
-        ignore (Cache.fill cache ~line:3 line);
-        check_true "direct mapped" (Cache.fill cache ~line:259 line = Some 3));
+        ignore (cache_fill cache ~line:3 line);
+        check_true "direct mapped" (cache_fill cache ~line:259 line = Some 3));
     case "barrier cost grows with log2 of the width" (fun () ->
         let c1 = Config.t3d ~n_pes:1 and c64 = Config.t3d ~n_pes:64 in
         check_true "wider costs more" (Config.barrier_cost c64 > Config.barrier_cost c1);

@@ -181,7 +181,7 @@ let error_positions =
 (* ---- round trip: emit -> parse -> identical analysis and execution ---- *)
 
 let roundtrip_one name =
-  let w = Ccdp_workloads.Workload.find (Ccdp_workloads.Suite.all ~n:16 ~iters:2 ()) name in
+  let w = Ccdp_workloads.Suite.find ~n:16 ~iters:2 name in
   let cfg = Ccdp_machine.Config.t3d ~n_pes:4 in
   let c1 = Ccdp_core.Pipeline.compile cfg w.Ccdp_workloads.Workload.program in
   let text = Ccdp_core.Craft_emit.to_string c1 in

@@ -7,9 +7,7 @@ let tests =
   [
     case "emit is a fixed point after one round trip" (fun () ->
         let w =
-          Ccdp_workloads.Workload.find
-            (Ccdp_workloads.Suite.all ~n:16 ~iters:1 ())
-            "jacobi"
+          Ccdp_workloads.Suite.find ~n:16 ~iters:1 "jacobi"
         in
         let cfg = Ccdp_machine.Config.t3d ~n_pes:4 in
         let c1 = Ccdp_core.Pipeline.compile cfg w.Ccdp_workloads.Workload.program in

@@ -51,8 +51,8 @@ let tests =
           B.for_ b "i" (B.A.bc 0) Bound.unknown
             [ B.assign b "A" [ B.A.v "i"; B.A.c 0 ] (F.const 1.0) ]
         in
-        check_int "default 8" 16 (Volume.stmts_cycles cfg ~default_trip:8 env [ s ]);
-        check_int "default 2" 4 (Volume.stmts_cycles cfg ~default_trip:2 env [ s ]));
+        (* 8 * (store 1 + loop 1) *)
+        check_int "default 8" 16 (Volume.stmts_cycles cfg env [ s ]));
     case "iter_cycles is the per-iteration cost" (fun () ->
         let b = b_with_array () in
         let open B.A in

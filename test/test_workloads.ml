@@ -8,6 +8,7 @@ open Ccdp_test_support.Tutil
 let n = 16
 let n_pes = 4
 let suite = Suite.all ~n ~iters:2 ()
+let find name = Suite.find ~n ~iters:2 name
 
 let compile (w : Workload.t) =
   Ccdp_core.Pipeline.compile (Config.t3d ~n_pes) w.program
@@ -28,12 +29,12 @@ let structural =
         let names (w : Workload.t) =
           List.map (fun (a : Array_decl.t) -> a.Array_decl.name) w.program.Program.arrays
         in
-        check_int "7 vpenta arrays" 7 (List.length (names (Workload.find suite "vpenta")));
-        check_int "14 swim arrays" 14 (List.length (names (Workload.find suite "swim")));
-        check_int "7 tomcatv arrays" 7 (List.length (names (Workload.find suite "tomcatv")));
-        check_int "3 mxm arrays" 3 (List.length (names (Workload.find suite "mxm"))));
+        check_int "7 vpenta arrays" 7 (List.length (names (find "vpenta")));
+        check_int "14 swim arrays" 14 (List.length (names (find "swim")));
+        check_int "7 tomcatv arrays" 7 (List.length (names (find "tomcatv")));
+        check_int "3 mxm arrays" 3 (List.length (names (find "mxm"))));
     case "swim keeps its three procedures before inlining" (fun () ->
-        let w = Workload.find suite "swim" in
+        let w = find "swim" in
         check_int "3 procs" 3 (List.length w.program.Program.procs));
     case "mxm insists on n divisible by 4" (fun () ->
         check_true "raises"
@@ -57,47 +58,47 @@ let classification =
         (* the DOALL's lower bound k+1 varies with the structure loop, so
            the per-PE restriction widens and even the owner-aligned reads
            classify stale — the paper's own conservative fallback *)
-        let c = compile (Workload.find suite "gauss") in
+        let c = compile (find "gauss") in
         let st = c.Ccdp_core.Pipeline.stale in
         check_int "all stale" st.Stale.n_reads st.Stale.n_stale;
         let counts = Annot.count c.Ccdp_core.Pipeline.plan in
         check_true "prefetched" (counts.Annot.n_vector + counts.Annot.n_pipelined > 0));
     case "transpose: the gather is stale and vector-prefetched" (fun () ->
-        let c = compile (Workload.find suite "transpose") in
+        let c = compile (find "transpose") in
         let counts = Annot.count c.Ccdp_core.Pipeline.plan in
         check_true "stale gather" (c.Ccdp_core.Pipeline.stale.Stale.n_stale > 0);
         check_true "vector op" (counts.Annot.n_vector > 0));
     case "vpenta is fully owner-aligned: zero stale references" (fun () ->
-        let c = compile (Workload.find suite "vpenta") in
+        let c = compile (find "vpenta") in
         check_int "stale" 0 c.Ccdp_core.Pipeline.stale.Stale.n_stale);
     case "triad is aligned too" (fun () ->
-        let c = compile (Workload.find suite "triad") in
+        let c = compile (find "triad") in
         check_int "stale" 0 c.Ccdp_core.Pipeline.stale.Stale.n_stale);
     case "mxm: exactly the four A references are stale, vector-prefetched" (fun () ->
-        let c = compile (Workload.find suite "mxm") in
+        let c = compile (find "mxm") in
         check_int "stale" 4 c.Ccdp_core.Pipeline.stale.Stale.n_stale;
         let counts = Annot.count c.Ccdp_core.Pipeline.plan in
         check_int "4 leads" 4 counts.Annot.n_lead;
         check_int "all vector" 4 counts.Annot.n_vector);
     case "tomcatv mixes techniques" (fun () ->
-        let c = compile (Workload.find suite "tomcatv") in
+        let c = compile (find "tomcatv") in
         let counts = Annot.count c.Ccdp_core.Pipeline.plan in
         check_true "stale refs" (c.Ccdp_core.Pipeline.stale.Stale.n_stale > 0);
         check_true "vector ops" (counts.Annot.n_vector > 0);
         check_true "covered members" (counts.Annot.n_covered > 0));
     case "swim stale set is the halo subset, not everything" (fun () ->
-        let c = compile (Workload.find suite "swim") in
+        let c = compile (find "swim") in
         let st = c.Ccdp_core.Pipeline.stale in
         check_true "some stale" (st.Stale.n_stale > 0);
         check_true "most reads clean" (st.Stale.n_stale * 2 < st.Stale.n_reads));
     case "dynamic workload schedules only moved-back prefetches" (fun () ->
-        let c = compile (Workload.find suite "dynamic") in
+        let c = compile (find "dynamic") in
         let counts = Annot.count c.Ccdp_core.Pipeline.plan in
         check_int "no vector" 0 counts.Annot.n_vector;
         check_int "no pipelined" 0 counts.Annot.n_pipelined;
         check_true "back ops exist" (counts.Annot.n_back > 0));
     case "opaque workload uses software pipelining" (fun () ->
-        let c = compile (Workload.find suite "opaque") in
+        let c = compile (find "opaque") in
         let counts = Annot.count c.Ccdp_core.Pipeline.plan in
         check_true "pipelined" (counts.Annot.n_pipelined > 0);
         check_int "no vector" 0 counts.Annot.n_vector);
@@ -122,8 +123,8 @@ let correctness =
 let performance =
   [
     case "mxm: CCDP dramatically beats BASE" (fun () ->
-        let b, _ = run_and_verify Memsys.Base (Workload.find suite "mxm") in
-        let c, _ = run_and_verify Memsys.Ccdp (Workload.find suite "mxm") in
+        let b, _ = run_and_verify Memsys.Base (find "mxm") in
+        let c, _ = run_and_verify Memsys.Ccdp (find "mxm") in
         check_true "at least 2x" (c.Interp.cycles * 2 < b.Interp.cycles));
     case "every workload: CCDP is at least as fast as BASE at 4 PEs" (fun () ->
         List.iter
@@ -135,7 +136,7 @@ let performance =
               (float_of_int c.Interp.cycles <= 1.05 *. float_of_int b.Interp.cycles))
           suite);
     case "vpenta CCDP issues no prefetches at all" (fun () ->
-        let r, _ = run_and_verify Memsys.Ccdp (Workload.find suite "vpenta") in
+        let r, _ = run_and_verify Memsys.Ccdp (find "vpenta") in
         check_int "none" 0 (Stats.total_prefetches r.Interp.stats));
     case "the incoherent mode corrupts at least one kernel" (fun () ->
         let broken =
