@@ -87,7 +87,7 @@ val check_desc :
   (string * failure_kind * string) option
 
 (** CRAFT-dialect source of a description (compiled with its own config),
-    suitable for [ccdp load] and regression suites. *)
+    suitable for [ccdp run] and regression suites. *)
 val reproducer_text : Gen.desc -> string
 
 (** Run a campaign of [count] programs drawn from [seed]. Failures are
