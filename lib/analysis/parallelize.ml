@@ -182,8 +182,6 @@ type report = {
   rejected : (int * string * verdict) list;
 }
 
-(* aligned to the loop's constant extent when it resolves, else static
-   block *)
 let sched (l : Stmt.loop) =
   match (l.Stmt.lo, l.Stmt.hi) with
   | Bound.Known lo, Bound.Known hi

@@ -51,7 +51,7 @@ let dim_pattern t d =
   | Dist.Dims dims -> dims.(d)
 
 (* [-1] encodes "local to every PE" (replicated / private data), any other
-   value the owning PE id: no variant to box per call *)
+   value the owning PE id *)
 let owner_id t idx =
   match t.ddim with
   | None -> if t.decl.dist = Dist.Replicated then -1 else 0
