@@ -115,4 +115,5 @@ let () =
     (float_of_int seq.Interp.cycles /. float_of_int base.Interp.cycles);
   Format.printf "CCDP x%d:   %8d cycles (%.2fx)  %s@." n_pes ccdp.Interp.cycles
     (float_of_int seq.Interp.cycles /. float_of_int ccdp.Interp.cycles)
-    (if v.Verify.ok then "- verified" else "- WRONG")
+    (if v.Verify.ok then "- verified" else "- WRONG");
+  if not v.Verify.ok then exit 1

@@ -91,4 +91,5 @@ let () =
       ~mode:Memsys.Ccdp ()
   in
   let v = Verify.against_sequential program ~init:(fun _ -> ()) r in
-  Format.printf "%a@." Verify.pp_report v
+  Format.printf "%a@." Verify.pp_report v;
+  if not v.Verify.ok then exit 1

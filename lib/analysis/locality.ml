@@ -10,7 +10,7 @@ type group = {
 (* Column-major (Fortran) element strides of each dimension, in words. *)
 let dim_strides (decl : Array_decl.t) =
   let rank = Array_decl.rank decl in
-  let strides = Array.make rank decl.elem_words in
+  let strides = Array.make rank 1 in
   for d = 1 to rank - 1 do
     strides.(d) <- strides.(d - 1) * decl.dims.(d - 1)
   done;

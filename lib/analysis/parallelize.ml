@@ -4,109 +4,182 @@ type verdict =
   | Parallel
   | Carried of { array_name : string; distance : int option }
   | Scalar_flow of string
+  | Live_out of string
   | Has_doall
   | Has_calls
-
-(* ------------------------------------------------------------------ *)
-(* Structure checks                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let rec has_doall stmts =
-  List.exists
-    (fun s ->
-      match s with
-      | Stmt.For { kind = Stmt.Doall _; _ } -> true
-      | Stmt.For l -> has_doall l.Stmt.body
-      | Stmt.If (_, a, b) -> has_doall a || has_doall b
-      | Stmt.Critical c -> has_doall c.Stmt.cbody
-      | Stmt.Assign _ | Stmt.Sassign _ | Stmt.Reduce _ -> false
-      | Stmt.Call _ -> false)
-    stmts
-
-let rec has_call stmts =
-  List.exists
-    (fun s ->
-      match s with
-      | Stmt.Call _ -> true
-      | Stmt.For l -> has_call l.Stmt.body
-      | Stmt.If (_, a, b) -> has_call a || has_call b
-      | Stmt.Critical c -> has_call c.Stmt.cbody
-      | Stmt.Assign _ | Stmt.Sassign _ | Stmt.Reduce _ -> false)
-    stmts
 
 (* ------------------------------------------------------------------ *)
 (* Scalar privatization                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Walk one iteration of the body; [defined] holds scalars definitely
-   written so far. A read of an undefined scalar defeats privatization
-   (its value flows in from a previous iteration or from outside). Writes
-   under conditionals or inside nested loops are not definite. *)
-let scalar_flow body =
-  let exception Flows of string in
-  let module S = Set.Make (String) in
-  let expr_reads defined e =
-    let rec go = function
-      | Fexpr.Svar v -> if not (S.mem v defined) then raise (Flows v)
-      | Fexpr.Const _ | Fexpr.Ivar _ | Fexpr.Ref _ -> ()
-      | Fexpr.Unop (_, a) -> go a
-      | Fexpr.Binop (_, a, b) ->
-          go a;
-          go b
-    in
-    go e
-  in
-  let rec walk ~definite defined stmts =
-    List.fold_left
-      (fun defined s ->
+module S = Set.Make (String)
+
+exception Flows of string
+
+let rec expr_reads watched defined = function
+  | Fexpr.Svar v -> if watched v && not (S.mem v defined) then raise (Flows v)
+  | Fexpr.Const _ | Fexpr.Ivar _ | Fexpr.Ref _ -> ()
+  | Fexpr.Unop (_, a) -> expr_reads watched defined a
+  | Fexpr.Binop (_, a, b) ->
+      expr_reads watched defined a;
+      expr_reads watched defined b
+
+(* Run [stmts] in order from the scalars [defined] so far and return those
+   definitely written after them; a read of a [watched] scalar not in
+   [defined] raises [Flows]. A write is definite in straight-line code, in
+   a critical section (it runs in sequence within one task) and when both
+   branches of an if make it. A nested serial loop runs within one task,
+   so its body sees its own earlier writes, but nothing escapes it (it may
+   run zero times) and a value carried only by its back-edge is undefined
+   on its first trip. A recognized reduction neither reads nor defines its
+   variable here: the per-PE partial is seeded by the first contribution
+   and the merged value only exists after the barrier. *)
+let rec flow watched defined stmts =
+  List.fold_left
+    (fun defined s ->
+      match s with
+      | Stmt.Assign (_, e) ->
+          expr_reads watched defined e;
+          defined
+      | Stmt.Sassign (v, e) ->
+          expr_reads watched defined e;
+          S.add v defined
+      | Stmt.If (c, a, b) ->
+          (match c with
+          | Stmt.Fcond (_, x, y) ->
+              expr_reads watched defined x;
+              expr_reads watched defined y
+          | Stmt.Icond _ -> ());
+          let da = flow watched defined a in
+          let db = flow watched defined b in
+          S.union defined (S.inter da db)
+      | Stmt.For l ->
+          ignore (flow watched defined l.Stmt.body);
+          defined
+      | Stmt.Critical c -> flow watched defined c.Stmt.cbody
+      | Stmt.Reduce r ->
+          expr_reads watched defined r.Stmt.rexpr;
+          defined
+      | Stmt.Call _ -> defined)
+    defined stmts
+
+(* The first [watched] scalar read before a definite write when the
+   statement lists [blocks] run in order from nothing defined. *)
+let first_flow watched blocks =
+  match List.fold_left (flow watched) S.empty blocks with
+  | _ -> None
+  | exception Flows v -> Some v
+
+let scalar_flow body = first_flow (fun _ -> true) [ body ]
+
+(* The first scalar [l] assigns (reduction variables aside) that a read in
+   [after], the blocks that run after [l] in order, sees before a definite
+   write. *)
+let live_out after (l : Stmt.loop) =
+  let assigned, reduced =
+    Stmt.fold
+      (fun ((a, r) as acc) s ->
         match s with
-        | Stmt.Assign (_, e) ->
-            expr_reads defined e;
-            defined
-        | Stmt.Sassign (v, e) ->
-            expr_reads defined e;
-            if definite then S.add v defined else defined
-        | Stmt.If (c, a, b) ->
-            (match c with
-            | Stmt.Fcond (_, x, y) ->
-                expr_reads defined x;
-                expr_reads defined y
-            | Stmt.Icond _ -> ());
-            (* within a branch, execution is sequentially definite for the
-               paths through it; a scalar is definitely written after the
-               if only when both branches write it *)
-            let da = walk ~definite defined a in
-            let db = walk ~definite defined b in
-            if definite then S.union defined (S.inter da db) else defined
-        | Stmt.For l ->
-            (* the nested loop may execute zero times: its writes are not
-               definite, its reads still count *)
-            ignore (walk ~definite:false defined l.Stmt.body);
-            defined
-        | Stmt.Critical c ->
-            (* the body runs exactly once per arrival, in order *)
-            walk ~definite defined c.Stmt.cbody
-        | Stmt.Reduce r ->
-            (* a recognized reduction neither reads nor definitely defines
-               its variable from the body's point of view: partials are
-               private and merged at the barrier *)
-            expr_reads defined r.Stmt.rexpr;
-            defined
-        | Stmt.Call _ -> defined)
-      defined stmts
+        | Stmt.Sassign (v, _) -> (S.add v a, r)
+        | Stmt.Reduce x -> (a, S.add x.Stmt.rvar r)
+        | _ -> acc)
+      (S.empty, S.empty) l.Stmt.body
   in
-  try
-    ignore (walk ~definite:true S.empty body);
-    None
-  with Flows v -> Some v
+  let watched = S.diff assigned reduced in
+  if S.is_empty watched then None
+  else first_flow (fun v -> S.mem v watched) after
+
+let live_outs stmts =
+  let found = ref [] in
+  (* [after]: the blocks that run after the current one — the rest of each
+     enclosing block and, after an enclosing serial loop's body, the loop
+     once more (its next trip, which by [flow]'s rules may not come) *)
+  let rec block after = function
+    | [] -> ()
+    | s :: rest ->
+        let after' = rest :: after in
+        (match s with
+        | Stmt.For l -> (
+            Option.iter
+              (fun v -> found := (l.Stmt.loop_id, v) :: !found)
+              (live_out after' l);
+            match l.Stmt.kind with
+            | Stmt.Serial -> block ([ s ] :: after') l.Stmt.body
+            | Stmt.Doall _ -> ())
+        | Stmt.If (_, a, b) ->
+            block after' a;
+            block after' b
+        | Stmt.Critical c -> block after' c.Stmt.cbody
+        | Stmt.Assign _ | Stmt.Sassign _ | Stmt.Reduce _ | Stmt.Call _ -> ());
+        block after rest
+  in
+  block [] stmts;
+  List.rev !found
 
 (* ------------------------------------------------------------------ *)
 (* Dependence testing                                                  *)
 (* ------------------------------------------------------------------ *)
 
+type access = {
+  write : bool;
+  ref_ : Reference.t;
+  loops : Stmt.loop list;
+  lock : string option;
+}
+
+let accesses (l : Stmt.loop) =
+  let acc = ref [] in
+  let add write loops lock r = acc := { write; ref_ = r; loops; lock } :: !acc in
+  let rec collect lock loops stmts =
+    List.iter
+      (fun s ->
+        Option.iter (add true loops lock) (Stmt.direct_write s);
+        List.iter (add false loops lock) (Stmt.direct_reads s);
+        match s with
+        | Stmt.For m -> collect lock (loops @ [ m ]) m.Stmt.body
+        | Stmt.If (c, a, b) ->
+            (match c with
+            | Stmt.Fcond (_, x, y) ->
+                List.iter (add false loops lock) (Fexpr.reads x @ Fexpr.reads y)
+            | Stmt.Icond _ -> ());
+            collect lock loops a;
+            collect lock loops b
+        | Stmt.Critical c -> collect (Some c.Stmt.lock) loops c.Stmt.cbody
+        | Stmt.Assign _ | Stmt.Sassign _ | Stmt.Reduce _ | Stmt.Call _ -> ())
+      stmts
+  in
+  collect None [ l ] l.Stmt.body;
+  List.rev !acc
+
+(* Narrow [e] to its extreme values over the instance loops (innermost
+   first): each loop variable with a non-zero coefficient is replaced by
+   the bound expression that minimizes (resp. maximizes) its term. The
+   result is affine in the enclosing shared variables only. None when a
+   needed bound is not statically known. *)
+let extremes (instance_loops : Stmt.loop list) e =
+  let rec go loops ((emin, emax) as acc) =
+    match loops with
+    | [] -> Some acc
+    | (l : Stmt.loop) :: rest -> (
+        let cmin = Affine.coeff emin l.Stmt.var
+        and cmax = Affine.coeff emax l.Stmt.var in
+        if cmin = 0 && cmax = 0 then go rest acc
+        else
+          match (l.Stmt.lo, l.Stmt.hi) with
+          | Bound.Known lo, Bound.Known hi ->
+              let pick c = if c >= 0 then (lo, hi) else (hi, lo) in
+              let min_by, _ = pick cmin and _, max_by = pick cmax in
+              go rest
+                ( Affine.subst_env emin [ (l.Stmt.var, min_by) ],
+                  Affine.subst_env emax [ (l.Stmt.var, max_by) ] )
+          | _ -> None)
+  in
+  go (List.rev instance_loops) (e, e)
+
 type dim_verdict = Disjoint | Same_iter | Neutral | Carried_dist of int | Opaque
 
-let dim_test ~var ~trip (ea : Affine.t) (eb : Affine.t) =
+let dim_test ~var ~trip ~shared_env ~loops_a ~loops_b (ea : Affine.t)
+    (eb : Affine.t) =
   if Affine.uniformly_generated ea eb then begin
     let c = Affine.coeff ea var in
     let delta = Affine.const_part eb - Affine.const_part ea in
@@ -119,59 +192,85 @@ let dim_test ~var ~trip (ea : Affine.t) (eb : Affine.t) =
       | Some t when abs k >= t -> Disjoint
       | _ -> Carried_dist k
   end
-  else Opaque
+  else
+    (* the two instances iterate independently: a dependence needs
+       ea(inst1) = eb(inst2), impossible when the difference range
+       excludes zero *)
+    match (extremes loops_a ea, extremes loops_b eb) with
+    | Some (amin, amax), Some (bmin, bmax) -> (
+        match
+          ( Iterspace.affine_range shared_env (Affine.sub amin bmax),
+            Iterspace.affine_range shared_env (Affine.sub amax bmin) )
+        with
+        | Some (dmin, _), Some (_, dmax) when dmin > 0 || dmax < 0 -> Disjoint
+        | _ -> Opaque)
+    | _ -> Opaque
 
-(* Does the pair (a, b) carry a dependence across iterations of [var]? *)
-let pair_carries ~var ~trip (a : Reference.t) (b : Reference.t) =
-  let n = Array.length a.subs in
-  if n <> Array.length b.subs then Some None
+(* Does the pair carry a dependence across iterations of [var]? None when
+   it cannot, else the distance when every dimension pins it. *)
+let pair_carries ~var ~trip ~shared_env a b =
+  let sa = a.ref_.Reference.subs and sb = b.ref_.Reference.subs in
+  let n = Array.length sa in
+  if n <> Array.length sb then Some None
   else begin
-    let verdicts = Array.init n (fun d -> dim_test ~var ~trip a.subs.(d) b.subs.(d)) in
-    if Array.exists (fun v -> v = Disjoint) verdicts then None
-    else if Array.exists (fun v -> v = Same_iter) verdicts then None
-    else if Array.exists (fun v -> v = Opaque) verdicts then Some None
+    let verdicts =
+      Array.init n (fun d ->
+          dim_test ~var ~trip ~shared_env ~loops_a:a.loops ~loops_b:b.loops
+            sa.(d) sb.(d))
+    in
+    if Array.exists (function Disjoint | Same_iter -> true | _ -> false) verdicts
+    then None
+    else if Array.exists (function Opaque -> true | _ -> false) verdicts then
+      Some None
     else
       (* dims are Neutral or Carried_dist: any carried distance (or a pure
          Neutral aliasing, same element every iteration) is a dependence *)
-      let dist =
-        Array.fold_left
-          (fun acc v -> match v with Carried_dist k -> Some k | _ -> acc)
-          None verdicts
-      in
-      match dist with Some k -> Some (Some k) | None -> Some (Some 0)
+      Some
+        (Some
+           (Array.fold_left
+              (fun acc v -> match v with Carried_dist k -> k | _ -> acc)
+              0 verdicts))
   end
 
+let conflicts ~params ~outer (l : Stmt.loop) =
+  let shared_env = Iterspace.of_loops ~params outer in
+  let trip =
+    Iterspace.trip_count l (Iterspace.of_loops ~params (outer @ [ l ]))
+  in
+  let accs = accesses l in
+  List.concat_map
+    (fun a ->
+      List.filter_map
+        (fun b ->
+          if
+            (a.write || b.write)
+            && String.equal a.ref_.Reference.array_name
+                 b.ref_.Reference.array_name
+          then
+            Option.map
+              (fun d -> (a, b, d))
+              (pair_carries ~var:l.Stmt.var ~trip ~shared_env a b)
+          else None)
+        accs)
+    accs
+
 let judge ~params ~outer (l : Stmt.loop) =
-  if has_call l.Stmt.body then Has_calls
-  else if has_doall l.Stmt.body then Has_doall
+  if Stmt.exists (function Stmt.Call _ -> true | _ -> false) l.Stmt.body then
+    Has_calls
+  else if
+    Stmt.exists
+      (function Stmt.For { kind = Stmt.Doall _; _ } -> true | _ -> false)
+      l.Stmt.body
+  then Has_doall
   else
     match scalar_flow l.Stmt.body with
     | Some v -> Scalar_flow v
     | None -> (
-        let env = Iterspace.of_loops ~params (outer @ [ l ]) in
-        let trip = Iterspace.trip_count l env in
-        let refs =
-          List.rev
-            (Stmt.fold_refs
-               (fun acc ~write (r : Reference.t) -> (write, r) :: acc)
-               [] l.Stmt.body)
-        in
-        let conflict = ref None in
-        List.iter
-          (fun (wa, (a : Reference.t)) ->
-            List.iter
-              (fun (wb, (b : Reference.t)) ->
-                if
-                  !conflict = None && (wa || wb)
-                  && String.equal a.array_name b.array_name
-                then
-                  match pair_carries ~var:l.Stmt.var ~trip a b with
-                  | Some dist ->
-                      conflict := Some (Carried { array_name = a.array_name; distance = dist })
-                  | None -> ())
-              refs)
-          refs;
-        match !conflict with Some v -> v | None -> Parallel)
+        (* a same-lock pair is a conflict here: promotion adds no locks *)
+        match conflicts ~params ~outer l with
+        | (a, _, distance) :: _ ->
+            Carried { array_name = a.ref_.Reference.array_name; distance }
+        | [] -> Parallel)
 
 (* ------------------------------------------------------------------ *)
 (* Transformation                                                      *)
@@ -193,31 +292,37 @@ let transform (p : Program.t) =
   if p.Program.procs <> [] then
     invalid_arg "Parallelize.transform: inline procedures first";
   let promoted = ref [] and rejected = ref [] in
-  let rec walk outer in_par stmts =
+  let live = live_outs p.Program.main in
+  (* loops inside a DOALL stay serial: the epoch model runs one level of
+     parallelism *)
+  let rec walk outer stmts =
     List.map
       (fun s ->
         match s with
-        | Stmt.Assign _ | Stmt.Sassign _ | Stmt.Call _ | Stmt.Reduce _ -> s
-        | Stmt.Critical c ->
-            Stmt.Critical { c with cbody = walk outer in_par c.Stmt.cbody }
-        | Stmt.If (c, a, b) -> Stmt.If (c, walk outer in_par a, walk outer in_par b)
-        | Stmt.For ({ kind = Stmt.Doall _; _ } as l) ->
-            Stmt.For { l with body = walk (outer @ [ l ]) true l.Stmt.body }
-        | Stmt.For l ->
-            if in_par then
-              (* nested inside parallelism already: leave serial *)
-              Stmt.For { l with body = walk (outer @ [ l ]) in_par l.Stmt.body }
-            else (
-              match judge ~params:p.Program.params ~outer l with
-              | Parallel ->
-                  promoted := (l.Stmt.loop_id, l.Stmt.var) :: !promoted;
-                  Stmt.For { l with kind = Stmt.Doall (sched l) }
-              | v ->
-                  rejected := (l.Stmt.loop_id, l.Stmt.var, v) :: !rejected;
-                  Stmt.For { l with body = walk (outer @ [ l ]) in_par l.Stmt.body }))
+        | Stmt.Assign _ | Stmt.Sassign _ | Stmt.Call _ | Stmt.Reduce _
+        | Stmt.For { kind = Stmt.Doall _; _ } ->
+            s
+        | Stmt.Critical c -> Stmt.Critical { c with cbody = walk outer c.Stmt.cbody }
+        | Stmt.If (c, a, b) -> Stmt.If (c, walk outer a, walk outer b)
+        | Stmt.For l -> (
+            let verdict =
+              match
+                ( judge ~params:p.Program.params ~outer l,
+                  List.assoc_opt l.Stmt.loop_id live )
+              with
+              | Parallel, Some v -> Live_out v
+              | v, _ -> v
+            in
+            match verdict with
+            | Parallel ->
+                promoted := (l.Stmt.loop_id, l.Stmt.var) :: !promoted;
+                Stmt.For { l with kind = Stmt.Doall (sched l) }
+            | v ->
+                rejected := (l.Stmt.loop_id, l.Stmt.var, v) :: !rejected;
+                Stmt.For { l with body = walk (outer @ [ l ]) l.Stmt.body }))
       stmts
   in
-  let main = walk [] false p.Program.main in
+  let main = walk [] p.Program.main in
   ( { p with Program.main },
     { promoted = List.rev !promoted; rejected = List.rev !rejected } )
 
@@ -229,6 +334,7 @@ let pp_verdict ppf = function
         | Some k -> Printf.sprintf " (distance %d)" k
         | None -> "")
   | Scalar_flow v -> Format.fprintf ppf "scalar %s read before written" v
+  | Live_out v -> Format.fprintf ppf "scalar %s read after the loop" v
   | Has_doall -> Format.pp_print_string ppf "already contains a DOALL"
   | Has_calls -> Format.pp_print_string ppf "contains procedure calls"
 

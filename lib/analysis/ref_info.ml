@@ -16,26 +16,6 @@ type t = {
   lock : string option;
 }
 
-let rec body_has_if stmts =
-  List.exists
-    (fun s ->
-      match s with
-      | Stmt.If _ -> true
-      | Stmt.For l -> body_has_if l.Stmt.body
-      | Stmt.Critical c -> body_has_if c.Stmt.cbody
-      | Stmt.Assign _ | Stmt.Sassign _ | Stmt.Call _ | Stmt.Reduce _ -> false)
-    stmts
-
-let rec body_has_loop stmts =
-  List.exists
-    (fun s ->
-      match s with
-      | Stmt.For _ -> true
-      | Stmt.If (_, a, b) -> body_has_loop a || body_has_loop b
-      | Stmt.Critical c -> body_has_loop c.Stmt.cbody
-      | Stmt.Assign _ | Stmt.Sassign _ | Stmt.Call _ | Stmt.Reduce _ -> false)
-    stmts
-
 type ctx = {
   c_epoch : int;
   c_outer : Stmt.loop list;  (** outermost first *)
@@ -58,10 +38,13 @@ let collect (ep : Epoch.t) =
     let in_innermost =
       match innermost with
       | None -> false
-      | Some l -> not (body_has_loop l.Stmt.body)
+      | Some l ->
+          not (Stmt.exists (function Stmt.For _ -> true | _ -> false) l.Stmt.body)
     in
     let loop_has_if =
-      match innermost with None -> false | Some l -> body_has_if l.Stmt.body
+      match innermost with
+      | None -> false
+      | Some l -> Stmt.exists (function Stmt.If _ -> true | _ -> false) l.Stmt.body
     in
     acc :=
       {

@@ -114,10 +114,7 @@ let analyze region cfg ?(tuning = default_tuning) infos stale target =
     else
       match Section.size sec with
       | None -> None
-      | Some elems ->
-          let decl = Region.decl region name in
-          let words = elems * decl.Array_decl.elem_words in
-          if words = 0 || words > vpg_max then None else Some words
+      | Some words -> if words = 0 || words > vpg_max then None else Some words
   in
   let group_ids (g : Locality.group) =
     List.map (fun (m : Ref_info.t) -> m.ref_.Reference.id) g.covered

@@ -57,6 +57,6 @@ let words_read_per_iter ~decl_of (l : Stmt.loop) =
       List.fold_left
         (fun acc (r : Reference.t) ->
           let d = decl_of r.array_name in
-          if d.Array_decl.shared then acc + d.Array_decl.elem_words else acc)
+          if d.Array_decl.shared then acc + 1 else acc)
         acc (Stmt.direct_reads s))
     0 l.body

@@ -9,8 +9,7 @@ let coverage (t : Pipeline.t) =
     ~prefetch_clean:t.Pipeline.prefetch_clean t.Pipeline.infos
 
 let races (t : Pipeline.t) =
-  Race.check ~params:t.Pipeline.program.Ccdp_ir.Program.params
-    t.Pipeline.epochs
+  Race.check t.Pipeline.program t.Pipeline.epochs
 
 let lints (t : Pipeline.t) =
   Lint.check ~region:t.Pipeline.region ~cfg:t.Pipeline.cfg

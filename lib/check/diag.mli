@@ -13,7 +13,8 @@
       leading reference that is not a lead, has no prefetch op, or whose
       vector group omits the member;
     - [CCDP-W003] (error) — DOALL race: a loop marked parallel carries a
-      cross-iteration dependence or reads an unprivatizable scalar;
+      cross-iteration dependence, reads an unprivatizable scalar, or
+      assigns a scalar that is read after it;
     - [CCDP-W004] (warning) — spurious coverage: prefetch or bypass attached
       to a read the certifier proves clean (suppressed when the pipeline
       compiled with [prefetch_clean]);

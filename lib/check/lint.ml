@@ -143,8 +143,7 @@ let check ~region ~(cfg : Config.t) ~(tuning : Schedule.tuning)
                     (Diag.makef Diag.Vpg_missized ~loc ?epoch ~ref_id:lead_id
                        ~loop_id "vector prefetch section of %s is unbounded"
                        name)
-              | Some elems ->
-                  let words = elems * (decl_of name).Array_decl.elem_words in
+              | Some words ->
                   if words = 0 then
                     add
                       (Diag.makef Diag.Vpg_missized ~loc ?epoch

@@ -1,16 +1,17 @@
-(** DOALL race detector (CCDP-W003).
+(** DOALL race detector (CCDP-W003, and the lock and reduction errors
+    CCDP-W009–W011).
 
-    Re-judges every parallel epoch's loop with an independent dependence
-    test: ZIV/strong-SIV on uniformly generated affine subscript pairs,
-    and a Banerjee-style range test on the non-uniform ones — each
-    access's subscript is narrowed to its extreme values by symbolically
-    substituting the bounds of its iteration-scoped loops, and the
-    dependence equation is infeasible when the difference range excludes
-    zero (this proves triangular-bound patterns disjoint). Scalars are
-    checked for privatizability with per-iteration definiteness: a value
-    written earlier in the same iteration — even inside a nested serial
-    loop body — never crosses tasks. A DOALL carrying a cross-iteration
-    dependence or reading an unprivatizable scalar is flagged as a
-    race. *)
+    Judges every parallel epoch's loop with {!Ccdp_analysis.Parallelize}'s
+    dependence test, the one the auto-parallelizer uses: ZIV/strong-SIV on
+    uniformly generated affine subscript pairs and a Banerjee-style range
+    test on the non-uniform ones, scalar privatization with
+    per-iteration definiteness, and the live-out rule (a scalar the DOALL
+    assigns must not be read after it before a definite write). A DOALL
+    carrying a cross-iteration dependence, reading an unprivatizable
+    scalar or leaking a private one is flagged as a race. Conflicting pairs
+    are then judged by their locks: both sides under one lock is
+    discharged, one side or two different locks is an error. Reductions
+    must use an associative operator, one per variable, and no ordinary
+    assignment. *)
 
-val check : params:(string * int) list -> Ccdp_ir.Epoch.t -> Diag.t list
+val check : Ccdp_ir.Program.t -> Ccdp_ir.Epoch.t -> Diag.t list

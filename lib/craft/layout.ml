@@ -14,12 +14,12 @@ let make ~n_pes (decl : Array_decl.t) =
   if n_pes <= 0 then invalid_arg "Layout.make: n_pes <= 0";
   match decl.dist with
   | Dist.Replicated ->
-      { decl; n_pes; ddim = None; chunk = 0; per_pe_words = Array_decl.words decl }
+      { decl; n_pes; ddim = None; chunk = 0; per_pe_words = Array_decl.elems decl }
   | Dist.Dims dims -> (
       match Dist.distributed_dim decl.dist with
       | None ->
           (* undistributed shared array: lives wholly on PE 0 *)
-          { decl; n_pes; ddim = None; chunk = 0; per_pe_words = Array_decl.words decl }
+          { decl; n_pes; ddim = None; chunk = 0; per_pe_words = Array_decl.elems decl }
       | Some d ->
           let n = decl.dims.(d) in
           let chunk =
@@ -42,7 +42,7 @@ let make ~n_pes (decl : Array_decl.t) =
             n_pes;
             ddim = Some d;
             chunk;
-            per_pe_words = other * per_pe_extent * decl.elem_words;
+            per_pe_words = other * per_pe_extent;
           })
 
 let dim_pattern t d =
@@ -90,7 +90,7 @@ let local_offset t idx =
   let rank = Array_decl.rank t.decl in
   if Array.length idx <> rank then invalid_arg "Layout.local_offset: rank mismatch";
   match t.ddim with
-  | None -> Array_decl.linear_index t.decl idx * t.decl.elem_words
+  | None -> Array_decl.linear_index t.decl idx
   | Some dd ->
       (* column-major over the per-PE extents *)
       let lin = ref 0 in
@@ -99,10 +99,10 @@ let local_offset t idx =
         let i = if d = dd then local_dim_index t idx.(d) else idx.(d) in
         lin := (!lin * extent) + i
       done;
-      !lin * t.decl.elem_words
+      !lin
 
 let strides t =
-  let s = Array.make (Array_decl.rank t.decl) t.decl.elem_words in
+  let s = Array.make (Array_decl.rank t.decl) 1 in
   for d = 1 to Array.length s - 1 do
     let extent =
       if t.ddim = Some (d - 1) then local_dim_extent t else t.decl.dims.(d - 1)

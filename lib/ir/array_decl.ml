@@ -1,24 +1,21 @@
 type t = {
   name : string;
   dims : int array;
-  elem_words : int;
   dist : Dist.t;
   shared : bool;
 }
 
-let make ?(elem_words = 1) ?(dist = Dist.replicated) ?(shared = true) name dims =
+let make ?(dist = Dist.replicated) ?(shared = true) name dims =
   if Array.length dims = 0 then invalid_arg "Array_decl.make: rank 0";
   Array.iter (fun d -> if d <= 0 then invalid_arg "Array_decl.make: empty dim") dims;
-  if elem_words <= 0 then invalid_arg "Array_decl.make: elem_words <= 0";
   (match dist with
   | Dist.Dims ds when Array.length ds <> Array.length dims ->
       invalid_arg "Array_decl.make: distribution rank mismatch"
   | Dist.Dims _ | Dist.Replicated -> ());
-  { name; dims; elem_words; dist; shared }
+  { name; dims; dist; shared }
 
 let rank a = Array.length a.dims
 let elems a = Array.fold_left ( * ) 1 a.dims
-let words a = elems a * a.elem_words
 
 (* Column-major (Fortran) linearization: dimension 0 is contiguous. *)
 let linear_index a idx =
@@ -46,8 +43,7 @@ let point_of_linear a lin =
   idx
 
 let pp ppf a =
-  Format.fprintf ppf "%s%s[%s] dist=%a%s" a.name
+  Format.fprintf ppf "%s%s[%s] dist=%a" a.name
     (if a.shared then "" else " (private)")
     (String.concat "][" (Array.to_list (Array.map string_of_int a.dims)))
     Dist.pp a.dist
-    (if a.elem_words = 1 then "" else Printf.sprintf " (%dw)" a.elem_words)

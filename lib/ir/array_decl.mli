@@ -1,8 +1,8 @@
 (** Shared array declarations.
 
-    Every array in a program carries its extents, element width in 64-bit
-    words (the T3D prefetch granule), its CRAFT distribution, and whether it
-    is shared. Non-shared ([private_]) arrays are task-private and never
+    Every array in a program carries its extents (elements are 64-bit
+    words, the T3D prefetch granule), its CRAFT distribution, and whether
+    it is shared. Non-shared ([private_]) arrays are task-private and never
     participate in coherence. Arrays start at a cache-line boundary — the
     alignment assumption the paper's group-spatial analysis requires
     (Section 4.2, enforced there "by specifying a compiler option"). *)
@@ -12,21 +12,16 @@ type t = private {
   dims : int array;
       (** extent of each dimension; column-major (Fortran) linearization:
           dimension 0 is contiguous in memory *)
-  elem_words : int;  (** element size in 64-bit words (1 for float64) *)
   dist : Dist.t;
   shared : bool;
 }
 
-val make :
-  ?elem_words:int -> ?dist:Dist.t -> ?shared:bool -> string -> int array -> t
+val make : ?dist:Dist.t -> ?shared:bool -> string -> int array -> t
 
 val rank : t -> int
 
-(** Total elements. *)
+(** Total elements (64-bit words). *)
 val elems : t -> int
-
-(** Total 64-bit words. *)
-val words : t -> int
 
 (** Column-major linear element index of a point.
     @raise Invalid_argument on rank mismatch or out-of-range index. *)

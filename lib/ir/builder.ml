@@ -12,8 +12,8 @@ let create ~name () =
 
 let param b name value = b.params <- (name, value) :: b.params
 
-let array_ b ?elem_words ?dist ?shared name dims =
-  b.arrays <- Array_decl.make ?elem_words ?dist ?shared name dims :: b.arrays
+let array_ b ?dist ?shared name dims =
+  b.arrays <- Array_decl.make ?dist ?shared name dims :: b.arrays
 
 let proc b pname ~formals body =
   b.procs <- { Program.pname; formals; body } :: b.procs

@@ -16,7 +16,7 @@ val param : t -> string -> int -> unit
 (** Declare an array. Shared arrays default to replicated distribution;
     pass [~dist] for distributed ones. *)
 val array_ :
-  t -> ?elem_words:int -> ?dist:Dist.t -> ?shared:bool -> string -> int array -> unit
+  t -> ?dist:Dist.t -> ?shared:bool -> string -> int array -> unit
 
 (** Declare a procedure (callable from main or other procedures). *)
 val proc : t -> string -> formals:string list -> Stmt.t list -> unit

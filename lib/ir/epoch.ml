@@ -7,17 +7,11 @@ type node =
 
 type t = { nodes : node list; count : int }
 
-let rec contains_doall stmts =
-  List.exists
-    (fun s ->
-      match s with
-      | Stmt.For { kind = Stmt.Doall _; _ } -> true
-      | Stmt.For { body; _ } -> contains_doall body
-      | Stmt.If (_, t, e) -> contains_doall t || contains_doall e
-      | Stmt.Critical { cbody; _ } -> contains_doall cbody
-      | Stmt.Assign _ | Stmt.Sassign _ | Stmt.Reduce _ -> false
-      | Stmt.Call _ -> invalid_arg "Epoch.partition: program contains calls; inline first")
-    stmts
+let contains_doall =
+  Stmt.exists (function
+    | Stmt.For { kind = Stmt.Doall _; _ } -> true
+    | Stmt.Call _ -> invalid_arg "Epoch.partition: program contains calls; inline first"
+    | _ -> false)
 
 let partition stmts =
   let counter = ref 0 in

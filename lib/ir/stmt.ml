@@ -68,6 +68,17 @@ let rec fold f acc stmts =
       | Critical c -> fold f acc c.cbody)
     acc stmts
 
+let rec exists p = function
+  | [] -> false
+  | s :: rest ->
+      p s
+      || (match s with
+         | Assign _ | Sassign _ | Call _ | Reduce _ -> false
+         | For l -> exists p l.body
+         | If (_, t, e) -> exists p t || exists p e
+         | Critical c -> exists p c.cbody)
+      || exists p rest
+
 let fold_refs f acc stmts =
   fold
     (fun acc s ->

@@ -85,6 +85,10 @@ val direct_write : t -> Reference.t option
     including loop bodies, both branches of ifs, but not callee bodies. *)
 val fold : ('a -> t -> 'a) -> 'a -> t list -> 'a
 
+(** Whether [p] holds for some statement of the list, visited in {!fold}'s
+    order; the search stops at the first. *)
+val exists : (t -> bool) -> t list -> bool
+
 (** Fold over every reference (with write flag), recursively. *)
 val fold_refs : ('a -> write:bool -> Reference.t -> 'a) -> 'a -> t list -> 'a
 

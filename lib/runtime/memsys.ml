@@ -275,12 +275,10 @@ let make cfg ~oracle ~sabotage (p : Program.t) ~plan md ~buffered =
   in
   let words = Addr_map.total_words amap in
   let has_sync =
-    let is_crit acc s =
-      acc || match s with Stmt.Critical _ -> true | _ -> false
-    in
-    Stmt.fold is_crit false p.Program.main
+    let is_crit = function Stmt.Critical _ -> true | _ -> false in
+    Stmt.exists is_crit p.Program.main
     || List.exists
-         (fun (pr : Program.proc) -> Stmt.fold is_crit false pr.Program.body)
+         (fun (pr : Program.proc) -> Stmt.exists is_crit pr.Program.body)
          p.Program.procs
   in
   {

@@ -36,6 +36,7 @@ let () =
   let heat2d = Sys.argv.(1) and racy = Sys.argv.(2) in
   let locked_hist = Sys.argv.(3) and minmax_red = Sys.argv.(4) in
   let onesided = Sys.argv.(5) and badred = Sys.argv.(6) in
+  let liveout = Sys.argv.(7) in
   Format.printf "== clean targets ==@.";
   List.iter
     (fun (w : Ccdp_workloads.Workload.t) ->
@@ -55,6 +56,7 @@ let () =
   print (report "racy.craft" (compile (Ccdp_ir.Craft_parse.file racy)));
   print (report "onesided.craft" (compile (Ccdp_ir.Craft_parse.file onesided)));
   print (report "badred.craft" (compile (Ccdp_ir.Craft_parse.file badred)));
+  print (report "liveout.craft" (compile (Ccdp_ir.Craft_parse.file liveout)));
   let mxm = (Suite.find "mxm").program in
   let tomcatv = (Suite.find "tomcatv").program in
   print (report "mxm+dropped-stale-mark" (compile ~mutate_stale:drop_first mxm));

@@ -21,9 +21,8 @@ let linearization =
            with Invalid_argument _ -> true));
     case "elems and words" (fun () ->
         check_int "elems" 24 (Array_decl.elems decl);
-        check_int "words" 24 (Array_decl.words decl);
-        let w2 = Array_decl.make ~elem_words:2 "B" [| 3; 3 |] in
-        check_int "words2" 18 (Array_decl.words w2));
+        check_int "words" 24
+          (Ccdp_craft.Layout.make ~n_pes:1 decl).Ccdp_craft.Layout.per_pe_words);
   ]
 
 let constructor_checks =

@@ -253,15 +253,21 @@ let shrink_suite =
         check_true "one-step minimal: no candidate still fails"
           (not (List.exists still_fails (Shrink.candidates m))));
     case "minimize respects its evaluation budget" (fun () ->
+        (* the seed-6 description repeated to 16 epochs, under a predicate
+           that keeps every epoch: each step first pays one rejected
+           evaluation per epoch, so an unbounded shrink makes 747 *)
         let rng = Random.State.make [| 6 |] in
         let d = Gen.generate rng in
-        let evals = ref 0 in
-        let still_fails _ =
+        let d =
+          { d with Gen.epochs = List.concat (List.init 8 (fun _ -> d.Gen.epochs)) }
+        in
+        let epochs = List.length d.Gen.epochs and evals = ref 0 in
+        let still_fails c =
           incr evals;
-          true
+          List.length c.Gen.epochs = epochs
         in
         ignore (Shrink.minimize d ~still_fails);
-        check_true "bounded" (!evals <= 400));
+        check_int "stops at the budget" 400 !evals);
   ]
 
 let () =

@@ -75,7 +75,7 @@ let offsets =
           (fun dist ->
             let l =
               Layout.make ~n_pes:1
-                (Array_decl.make ~elem_words:2 ~dist "A" [| 7; 5 |])
+                (Array_decl.make ~dist "A" [| 7; 5 |])
             in
             let s = Layout.strides l in
             for i = 0 to 6 do

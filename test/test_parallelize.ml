@@ -70,6 +70,15 @@ let dependence_tests =
                     B.assign b "A" [ B.A.v "i" ]
                       (B.rd b "A" [ B.A.(v "i" -! c 15) ]);
                   ]))));
+    case "a distance one short of the trip count is carried" (fun () ->
+        (* i = 1..14: iteration 14 reads what iteration 1 wrote *)
+        match
+          judge (fun b ->
+              [ B.assign b "A" [ B.A.v "i" ] (B.rd b "A" [ B.A.(v "i" -! c 13) ]) ])
+        with
+        | Parallelize.Carried { array_name = "A"; distance = Some d } ->
+            check_int "distance" 13 (abs d)
+        | _ -> Alcotest.fail "expected carried dependence");
     case "loop-invariant write is an output dependence" (fun () ->
         match
           judge (fun b -> [ B.assign b "A" [ B.A.c 3 ] (F.iv "i") ])
@@ -151,6 +160,22 @@ let scalar_tests =
         with
         | Parallelize.Scalar_flow "t" -> ()
         | _ -> Alcotest.fail "expected scalar flow");
+    case "a temporary defined and used inside a nested serial loop is privatizable"
+      (fun () ->
+        (* the nested loop runs within one task: its own earlier write is
+           definite for its own later read *)
+        check_true "parallel"
+          (is_parallel
+             (judge (fun b ->
+                  [
+                    B.for_ b "j" (B.A.bc 0) (B.A.bc 15)
+                      [
+                        Stmt.Sassign
+                          ( "t",
+                            F.(B.rd b "M" [ B.A.v "i"; B.A.v "j" ] * const 2.0) );
+                        B.assign b "M" [ B.A.v "i"; B.A.v "j" ] (F.sv "t");
+                      ];
+                  ]))));
     case "writes in both branches are definite" (fun () ->
         check_true "parallel"
           (is_parallel
@@ -162,6 +187,245 @@ let scalar_tests =
                         [ Stmt.Sassign ("t", F.const 2.0) ] );
                     B.assign b "A" [ B.A.v "i" ] (F.sv "t");
                   ]))));
+  ]
+
+(* ---- the triangular range test and the live-out rule ---- *)
+
+let promoted_vars rep = List.map snd rep.Parallelize.promoted
+
+let rejected_verdicts rep =
+  List.map (fun (_, v, why) -> (v, why)) rep.Parallelize.rejected
+
+(* DO K = 0,14; DO J = K+1,15; DO I = 0,15: M(i,j) = M(i,j) - M(i,k)*0.5 *)
+let triangular () =
+  let b = B.create ~name:"tri" () in
+  B.param b "n" 16;
+  B.array_ b "M" [| 16; 16 |] ~dist:(Dist.block_along ~rank:2 ~dim:1);
+  let open B.A in
+  let i = v "i" and j = v "j" and k = v "k" in
+  B.finish b
+    [
+      B.for_ b "k" (bc 0) (bc 14)
+        [
+          B.for_ b "j"
+            (bk (k +! c 1))
+            (bc 15)
+            [
+              B.for_ b "i" (bc 0) (bc 15)
+                [
+                  B.assign b "M" [ i; j ]
+                    F.(B.rd b "M" [ i; j ] - (B.rd b "M" [ i; k ] * const 0.5));
+                ];
+            ];
+        ];
+    ]
+
+(* DO I: A(i) = 1.5*i; DO I: T = A(i); Bv(i) = T; then [after] *)
+let temp_program after =
+  let b = B.create ~name:"tmp" () in
+  B.param b "n" 16;
+  B.array_ b "A" [| 16 |] ~dist:dist1;
+  B.array_ b "Bv" [| 16 |] ~dist:dist1;
+  let open B.A in
+  let i = v "i" in
+  B.finish b
+    ([
+       B.for_ b "i" (bc 0) (bc 15)
+         [ B.assign b "A" [ i ] F.(const 1.5 * iv "i") ];
+       B.for_ b "i" (bc 0) (bc 15)
+         [
+           Stmt.Sassign ("t", B.rd b "A" [ i ]);
+           B.assign b "Bv" [ i ] (F.sv "t");
+         ];
+     ]
+    @ after b)
+
+let verifies_at_4 p =
+  List.for_all
+    (fun mode ->
+      let s = Ccdp_core.Pipeline.for_mode ~n_pes:4 mode p in
+      let r =
+        Ccdp_runtime.Interp.run s.Ccdp_core.Pipeline.cfg
+          s.Ccdp_core.Pipeline.program ~plan:s.Ccdp_core.Pipeline.plan ~mode ()
+      in
+      (Ccdp_runtime.Verify.against_sequential p ~init:(fun _ -> ()) r)
+        .Ccdp_runtime.Verify.ok)
+    [ Ccdp_runtime.Memsys.Base; Ccdp_runtime.Memsys.Ccdp ]
+
+let precision_tests =
+  [
+    case "a triangular update is promoted: the range test splits columns"
+      (fun () ->
+        let p', rep = Parallelize.transform (triangular ()) in
+        Alcotest.(check (list string)) "j promoted" [ "j" ] (promoted_vars rep);
+        (match rejected_verdicts rep with
+        | [ ("k", Parallelize.Carried { array_name = "M"; _ }) ] -> ()
+        | _ -> Alcotest.fail "expected k rejected for a dependence on M");
+        check_true "verified" (verifies_at_4 p'));
+    case "a private scalar read after the loop is live out" (fun () ->
+        let p = temp_program (fun b -> [ B.assign b "Bv" [ B.A.c 0 ] (F.sv "t") ]) in
+        let p', rep = Parallelize.transform p in
+        Alcotest.(check (list string)) "first loop promoted" [ "i" ]
+          (promoted_vars rep);
+        (match rejected_verdicts rep with
+        | [ ("i", Parallelize.Live_out "t") ] -> ()
+        | _ -> Alcotest.fail "expected the temporary's loop rejected live-out");
+        check_true "verified" (verifies_at_4 p'));
+    case "a read on the next trip of an enclosing serial loop is live out"
+      (fun () ->
+        let b = B.create ~name:"trip" () in
+        B.param b "n" 16;
+        B.array_ b "A" [| 16 |] ~dist:dist1;
+        B.array_ b "Bv" [| 16 |] ~dist:dist1;
+        let open B.A in
+        let i = v "i" in
+        let p =
+          B.finish b
+            [
+              B.for_ b "it" (bc 1) (bc 2)
+                [
+                  B.assign b "A" [ c 0 ] (F.sv "t");
+                  B.for_ b "i" (bc 1) (bc 15)
+                    [
+                      Stmt.Sassign ("t", B.rd b "Bv" [ i ]);
+                      B.assign b "A" [ i ] (F.sv "t");
+                    ];
+                ];
+            ]
+        in
+        let _, rep = Parallelize.transform p in
+        Alcotest.(check (list string)) "nothing promoted" [] (promoted_vars rep);
+        match rejected_verdicts rep with
+        | [ ("it", Parallelize.Scalar_flow "t"); ("i", Parallelize.Live_out "t") ]
+          ->
+            ()
+        | _ -> Alcotest.fail "expected it: scalar flow, i: live out");
+    case "two loops reusing one temporary both stay promoted" (fun () ->
+        let p =
+          temp_program (fun b ->
+              [
+                B.for_ b "i" (B.A.bc 0) (B.A.bc 15)
+                  [
+                    Stmt.Sassign ("t", F.(B.rd b "Bv" [ B.A.v "i" ] + const 1.0));
+                    B.assign b "A" [ B.A.v "i" ] (F.sv "t");
+                  ];
+                Stmt.Sassign ("t", F.const 0.0);
+                B.assign b "Bv" [ B.A.c 0 ] (F.sv "t");
+              ])
+        in
+        let p', rep = Parallelize.transform p in
+        Alcotest.(check (list string)) "three promoted" [ "i"; "i"; "i" ]
+          (promoted_vars rep);
+        check_int "none rejected" 0 (List.length rep.Parallelize.rejected);
+        check_true "verified" (verifies_at_4 p'));
+  ]
+
+(* ---- the shared test against numbers: demoted fuzz programs ---- *)
+
+let rec demote s =
+  match s with
+  | Stmt.For l ->
+      Stmt.For { l with kind = Stmt.Serial; body = List.map demote l.Stmt.body }
+  | Stmt.If (c, a, b) -> Stmt.If (c, List.map demote a, List.map demote b)
+  | Stmt.Critical c ->
+      Stmt.Critical { c with cbody = List.map demote c.Stmt.cbody }
+  | Stmt.Assign _ | Stmt.Sassign _ | Stmt.Reduce _ | Stmt.Call _ -> s
+
+let race_codes = [ "CCDP-W003"; "CCDP-W009"; "CCDP-W010"; "CCDP-W011" ]
+
+let corpus_tests =
+  [
+    case "demoted fuzz programs re-promote race-free and verify" (fun () ->
+        (* every DOALL of a generated program made serial, then
+           auto-parallelized: whatever the parallelizer promotes, the
+           certifier must find no race and BASE and CCDP must reproduce
+           sequential execution at 4 PEs *)
+        let rng = Random.State.make [| 1 |] in
+        let programs = 120 and promoted = ref 0 and skipped = ref 0 in
+        for _ = 1 to programs do
+          let p = Ccdp_fuzz.Gen.build (Ccdp_fuzz.Gen.generate rng) in
+          let serial = { p with Program.main = List.map demote p.Program.main } in
+          if Program.validate serial <> [] then incr skipped
+          else begin
+            let p', rep = Parallelize.transform serial in
+            promoted := !promoted + List.length rep.Parallelize.promoted;
+            let t =
+              Ccdp_core.Pipeline.compile (Ccdp_machine.Config.t3d ~n_pes:4) p'
+            in
+            List.iter
+              (fun (d : Ccdp_check.Diag.t) ->
+                let code = Ccdp_check.Diag.code_string d.Ccdp_check.Diag.code in
+                if List.mem code race_codes then
+                  Alcotest.failf "promoted program raises %s"
+                    (Ccdp_check.Diag.to_string d))
+              (Ccdp_check.Check.certify t);
+            check_true "verified" (verifies_at_4 p')
+          end
+        done;
+        Printf.printf "%d programs: %d loops promoted, %d demotions skipped\n"
+          programs !promoted !skipped;
+        check_true "the corpus promotes loops" (!promoted > 0));
+    case "random affine loops re-promote and verify" (fun () ->
+        (* generated programs carry no dependence the test could miss, so
+           draw loops that do: DO I = lo, hi with one to three statements
+           over X, Y and a scalar T, every subscript c*i + k in bounds
+           (c in -1..2), and sometimes a read of T after the loop;
+           whatever is promoted must verify *)
+        let rng = Random.State.make [| 3 |] in
+        let r = Random.State.int rng in
+        let programs = 1000 and promoted = ref 0 in
+        for _ = 1 to programs do
+          let b = B.create ~name:"affine" () in
+          B.param b "n" 24;
+          B.array_ b "X" [| 24 |] ~dist:dist1;
+          B.array_ b "Y" [| 24 |] ~dist:dist1;
+          let open B.A in
+          let lo = r 4 in
+          let hi = lo + 4 + r 8 in
+          let rec sub () =
+            let co = [| -1; 0; 1; 1; 2 |].(r 5) in
+            let kmin = -min (co * lo) (co * hi)
+            and kmax = 23 - max (co * lo) (co * hi) in
+            if kmax < kmin then sub ()
+            else (co *! v "i") +! c (kmin + r (kmax - kmin + 1))
+          in
+          let read () =
+            match r 3 with
+            | 0 -> F.sv "t"
+            | k -> B.rd b (if k = 1 then "X" else "Y") [ sub () ]
+          in
+          let stmt () =
+            match r 4 with
+            | 0 -> Stmt.Sassign ("t", F.(read () * const 0.5))
+            | k ->
+                let dst = if k = 1 then "X" else "Y" in
+                let s = sub () in
+                B.assign b dst [ s ] F.((read () * const 0.5) + read ())
+          in
+          let p =
+            B.finish b
+              ([
+                 Stmt.Sassign ("t", F.const 0.75);
+                 B.for_ b "i" (bc 0) (bc 23)
+                   [
+                     B.assign b "X" [ v "i" ] F.(iv "i" * const 0.125);
+                     B.assign b "Y" [ v "i" ] F.(iv "i" * const 0.0625);
+                   ];
+                 B.for_ b "i" (bc lo) (bc hi)
+                   (List.init (1 + r 3) (fun _ -> stmt ()));
+               ]
+              @ if r 3 = 0 then [ B.assign b "Y" [ c 0 ] (F.sv "t") ] else [])
+          in
+          let p', rep = Parallelize.transform p in
+          (* the initialization loop is always promoted *)
+          if List.length rep.Parallelize.promoted = 2 then incr promoted;
+          if not (verifies_at_4 p') then
+            Alcotest.failf "promoted program does not verify:@.@[<v>%a@]"
+              Stmt.pp_list p.Program.main
+        done;
+        Printf.printf "%d programs: %d second loops promoted\n" programs
+          !promoted;
+        check_true "some loops are promoted" (!promoted > 0));
   ]
 
 (* ---- end-to-end: auto-parallelize a sequential stencil ---- *)
@@ -275,5 +539,7 @@ let () =
     [
       ("dependence", dependence_tests);
       ("scalars", scalar_tests);
+      ("precision", precision_tests);
+      ("corpus", corpus_tests);
       ("transform", transform_tests);
     ]
