@@ -178,20 +178,36 @@ let extremes (instance_loops : Stmt.loop list) e =
 
 type dim_verdict = Disjoint | Same_iter | Neutral | Carried_dist of int | Opaque
 
-let dim_test ~var ~trip ~shared_env ~loops_a ~loops_b (ea : Affine.t)
-    (eb : Affine.t) =
-  if Affine.uniformly_generated ea eb then begin
-    let c = Affine.coeff ea var in
-    let delta = Affine.const_part eb - Affine.const_part ea in
-    if c = 0 then if delta = 0 then Neutral else Disjoint
+(* One subscript dimension of a pair, for iterations of [l]. The
+   ZIV/strong-SIV test assumes every variable but [l]'s is equal in the
+   two instances, which holds for the enclosing shared variables only: a
+   loop nested in [l] iterates independently in each instance, so a
+   dimension that uses one goes to the range test, unless both sides are
+   one expression free of [l]'s variable, which pins nothing (Neutral). *)
+let dim_test (l : Stmt.loop) ~trip ~shared_env ~loops_a ~loops_b
+    (ea : Affine.t) (eb : Affine.t) =
+  let c = Affine.coeff ea l.Stmt.var
+  and delta = Affine.const_part eb - Affine.const_part ea in
+  let scoped (m : Stmt.loop) = Affine.coeff ea m.Stmt.var <> 0 in
+  let uniform = Affine.uniformly_generated ea eb in
+  if uniform && c = 0 && delta = 0 then Neutral
+  else if
+    uniform
+    && not
+         (List.exists scoped (List.tl loops_a)
+         || List.exists scoped (List.tl loops_b))
+  then
+    if c = 0 || delta mod c <> 0 then Disjoint
     else if delta = 0 then Same_iter
-    else if delta mod c <> 0 then Disjoint
     else
-      let k = delta / c in
-      match trip with
-      | Some t when abs k >= t -> Disjoint
-      | _ -> Carried_dist k
-  end
+      (* the instances' values of [l.var] differ by a multiple of the step,
+         less than trip * step *)
+      let k = delta / c and step = l.Stmt.step in
+      if k mod step <> 0 then Disjoint
+      else
+        match trip with
+        | Some t when abs k >= t * step -> Disjoint
+        | _ -> Carried_dist k
   else
     (* the two instances iterate independently: a dependence needs
        ea(inst1) = eb(inst2), impossible when the difference range
@@ -206,16 +222,16 @@ let dim_test ~var ~trip ~shared_env ~loops_a ~loops_b (ea : Affine.t)
         | _ -> Opaque)
     | _ -> Opaque
 
-(* Does the pair carry a dependence across iterations of [var]? None when
-   it cannot, else the distance when every dimension pins it. *)
-let pair_carries ~var ~trip ~shared_env a b =
+(* Does the pair carry a dependence across iterations of [l]? None when it
+   cannot, else the distance when every dimension pins it. *)
+let pair_carries l ~trip ~shared_env a b =
   let sa = a.ref_.Reference.subs and sb = b.ref_.Reference.subs in
   let n = Array.length sa in
   if n <> Array.length sb then Some None
   else begin
     let verdicts =
       Array.init n (fun d ->
-          dim_test ~var ~trip ~shared_env ~loops_a:a.loops ~loops_b:b.loops
+          dim_test l ~trip ~shared_env ~loops_a:a.loops ~loops_b:b.loops
             sa.(d) sb.(d))
     in
     if Array.exists (function Disjoint | Same_iter -> true | _ -> false) verdicts
@@ -249,12 +265,12 @@ let conflicts ~params ~outer (l : Stmt.loop) =
           then
             Option.map
               (fun d -> (a, b, d))
-              (pair_carries ~var:l.Stmt.var ~trip ~shared_env a b)
+              (pair_carries l ~trip ~shared_env a b)
           else None)
         accs)
     accs
 
-let judge ~params ~outer (l : Stmt.loop) =
+let judge ~params ~outer ~live_out (l : Stmt.loop) =
   if Stmt.exists (function Stmt.Call _ -> true | _ -> false) l.Stmt.body then
     Has_calls
   else if
@@ -263,9 +279,10 @@ let judge ~params ~outer (l : Stmt.loop) =
       l.Stmt.body
   then Has_doall
   else
-    match scalar_flow l.Stmt.body with
-    | Some v -> Scalar_flow v
-    | None -> (
+    match (scalar_flow l.Stmt.body, live_out) with
+    | Some v, _ -> Scalar_flow v
+    | None, Some v -> Live_out v
+    | None, None -> (
         (* a same-lock pair is a conflict here: promotion adds no locks *)
         match conflicts ~params ~outer l with
         | (a, _, distance) :: _ ->
@@ -305,15 +322,8 @@ let transform (p : Program.t) =
         | Stmt.Critical c -> Stmt.Critical { c with cbody = walk outer c.Stmt.cbody }
         | Stmt.If (c, a, b) -> Stmt.If (c, walk outer a, walk outer b)
         | Stmt.For l -> (
-            let verdict =
-              match
-                ( judge ~params:p.Program.params ~outer l,
-                  List.assoc_opt l.Stmt.loop_id live )
-              with
-              | Parallel, Some v -> Live_out v
-              | v, _ -> v
-            in
-            match verdict with
+            let live_out = List.assoc_opt l.Stmt.loop_id live in
+            match judge ~params:p.Program.params ~outer ~live_out l with
             | Parallel ->
                 promoted := (l.Stmt.loop_id, l.Stmt.var) :: !promoted;
                 Stmt.For { l with kind = Stmt.Doall (sched l) }

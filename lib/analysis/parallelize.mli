@@ -15,9 +15,14 @@
       different constants can never alias ({e disjoint} — kills the pair);
     - a non-zero coefficient with a constant offset gives the classic
       strong-SIV distance: zero distance means same-iteration only (also
-      kills the carried dependence), a non-integer distance means no
-      dependence, an integer distance within the trip count means a carried
-      dependence;
+      kills the carried dependence), a non-integer distance or one that is
+      no multiple of the loop step means no dependence, a distance below
+      trip count × step means a carried dependence;
+    - these two assume every other variable equal in the two iterations,
+      true of the enclosing loops' variables only: a dimension that uses
+      the variable of a loop nested in the judged one ([A(i+j)] judged on
+      [j]) pins nothing, and goes to the range test unless both sides are
+      one expression free of the judged variable;
     - non-uniform subscripts get a Banerjee-style range test: the two
       accesses are independent instances, so each side is narrowed to its
       extreme values by substituting the bounds of its own loops (innermost
@@ -51,12 +56,12 @@ type verdict =
   | Has_doall  (** already contains parallelism *)
   | Has_calls  (** inline first *)
 
-(** Judge one loop in the context of enclosing loops (outermost first).
-    The live-out rule needs what follows the loop; {!transform} applies
-    it. *)
+(** Judge one loop in the context of enclosing loops (outermost first);
+    [live_out] is the scalar {!live_outs} finds for it, if any. *)
 val judge :
   params:(string * int) list ->
   outer:Ccdp_ir.Stmt.loop list ->
+  live_out:string option ->
   Ccdp_ir.Stmt.loop ->
   verdict
 

@@ -198,6 +198,18 @@ let scalar_racy_doall () =
         ];
     ]
 
+(* DOALL J = 1,14; DO I = 1,14 over [body]: the inner loop's variable
+   differs between two iterations of J *)
+let inner_shift_doall body =
+  let b = B.create ~name:"shift" () in
+  B.param b "n" 16;
+  B.array_ b "M" [| 16; 16 |]
+    ~dist:(Ccdp_ir.Dist.block_along ~rank:2 ~dim:1);
+  B.array_ b "A" [| 32 |] ~dist:(Ccdp_ir.Dist.block_along ~rank:1 ~dim:0);
+  let open B.A in
+  B.finish b
+    [ B.doall b "j" (bc 1) (bc 14) [ B.for_ b "i" (bc 1) (bc 14) (body b) ] ]
+
 let fault_suite =
   [
     case "W001: a dropped stale mark is an uncovered obligation" (fun () ->
@@ -357,6 +369,29 @@ let fault_suite =
         in
         let ds = Check.certify t in
         check_true "sorted" (List.sort Diag.compare ds = ds));
+    case "W003: a subscript over an inner loop's variable is no proof"
+      (fun () ->
+        (* M(i,j) = M(i-1,j-1) and A(i+j) = A(i+j) + 1: neither dimension
+           alone pins j, yet iterations j and j+1 share elements *)
+        List.iter
+          (fun body ->
+            check_true "CCDP-W003 raised"
+              (has_code "CCDP-W003"
+                 (Check.certify (compile (inner_shift_doall body)))))
+          [
+            (fun b ->
+              let open B.A in
+              [
+                B.assign b "M" [ v "i"; v "j" ]
+                  B.F.(B.rd b "M" [ v "i" -! c 1; v "j" -! c 1 ] * const 0.5);
+              ]);
+            (fun b ->
+              let open B.A in
+              [
+                B.assign b "A" [ v "i" +! v "j" ]
+                  B.F.(B.rd b "A" [ v "i" +! v "j" ] + const 1.0);
+              ]);
+          ]);
   ]
 
 let span_text =

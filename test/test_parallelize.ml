@@ -6,7 +6,8 @@ module F = Builder.F
 
 let dist1 = Dist.block_along ~rank:1 ~dim:0
 
-let mk_loop body_of =
+(* DO I = lo, hi, step over [body_of b] *)
+let mk_loop ?(lo = 1) ?(hi = 14) ?step body_of =
   let b = B.create ~name:"pz" () in
   B.param b "n" 16;
   B.array_ b "A" [| 16 |] ~dist:dist1;
@@ -15,15 +16,15 @@ let mk_loop body_of =
   let open B.A in
   let body = body_of b in
   let l =
-    match B.for_ b "i" (bc 1) (bc 14) body with
+    match B.for_ b ?step "i" (bc lo) (bc hi) body with
     | Stmt.For l -> l
     | _ -> assert false
   in
   (b, l)
 
-let judge body_of =
-  let _, l = mk_loop body_of in
-  Parallelize.judge ~params:[ ("n", 16) ] ~outer:[] l
+let judge ?lo ?hi ?step body_of =
+  let _, l = mk_loop ?lo ?hi ?step body_of in
+  Parallelize.judge ~params:[ ("n", 16) ] ~outer:[] ~live_out:None l
 
 let is_parallel = function Parallelize.Parallel -> true | _ -> false
 
@@ -70,15 +71,6 @@ let dependence_tests =
                     B.assign b "A" [ B.A.v "i" ]
                       (B.rd b "A" [ B.A.(v "i" -! c 15) ]);
                   ]))));
-    case "a distance one short of the trip count is carried" (fun () ->
-        (* i = 1..14: iteration 14 reads what iteration 1 wrote *)
-        match
-          judge (fun b ->
-              [ B.assign b "A" [ B.A.v "i" ] (B.rd b "A" [ B.A.(v "i" -! c 13) ]) ])
-        with
-        | Parallelize.Carried { array_name = "A"; distance = Some d } ->
-            check_int "distance" 13 (abs d)
-        | _ -> Alcotest.fail "expected carried dependence");
     case "loop-invariant write is an output dependence" (fun () ->
         match
           judge (fun b -> [ B.assign b "A" [ B.A.c 3 ] (F.iv "i") ])
@@ -126,6 +118,37 @@ let dependence_tests =
         | Parallelize.Carried _ -> ()
         | Parallelize.Parallel -> Alcotest.fail "must be conservative"
         | _ -> Alcotest.fail "unexpected verdict");
+    case "a distance one short of the trip count is carried" (fun () ->
+        (* i = 1..14: iteration 14 reads what iteration 1 wrote *)
+        match
+          judge (fun b ->
+              [ B.assign b "A" [ B.A.v "i" ] (B.rd b "A" [ B.A.(v "i" -! c 13) ]) ])
+        with
+        | Parallelize.Carried { array_name = "A"; distance = Some d } ->
+            check_int "distance" 13 (abs d)
+        | _ -> Alcotest.fail "expected carried dependence");
+    case "with step 2 a distance short of trip count times step is carried"
+      (fun () ->
+        (* I = 0,2,4,6: iteration 0 reads A(6), which iteration 6 writes *)
+        match
+          judge ~lo:0 ~hi:6 ~step:2 (fun b ->
+              [
+                B.assign b "A" [ B.A.v "i" ] (B.rd b "A" [ B.A.(v "i" +! c 6) ]);
+              ])
+        with
+        | Parallelize.Carried { array_name = "A"; distance = Some d } ->
+            check_int "distance" 6 (abs d)
+        | _ -> Alcotest.fail "expected carried dependence");
+    case "a distance that is no multiple of the step is no dependence"
+      (fun () ->
+        (* I = 0,2,..,14 writes the even elements and reads the odd ones *)
+        check_true "parallel"
+          (is_parallel
+             (judge ~lo:0 ~hi:14 ~step:2 (fun b ->
+                  [
+                    B.assign b "A" [ B.A.v "i" ]
+                      (B.rd b "A" [ B.A.(v "i" +! c 1) ]);
+                  ]))));
   ]
 
 let scalar_tests =
@@ -160,6 +183,17 @@ let scalar_tests =
         with
         | Parallelize.Scalar_flow "t" -> ()
         | _ -> Alcotest.fail "expected scalar flow");
+    case "writes in both branches are definite" (fun () ->
+        check_true "parallel"
+          (is_parallel
+             (judge (fun b ->
+                  [
+                    Stmt.If
+                      ( Stmt.Icond (Stmt.Lt, B.A.v "i", B.A.c 8),
+                        [ Stmt.Sassign ("t", F.const 1.0) ],
+                        [ Stmt.Sassign ("t", F.const 2.0) ] );
+                    B.assign b "A" [ B.A.v "i" ] (F.sv "t");
+                  ]))));
     case "a temporary defined and used inside a nested serial loop is privatizable"
       (fun () ->
         (* the nested loop runs within one task: its own earlier write is
@@ -175,17 +209,6 @@ let scalar_tests =
                             F.(B.rd b "M" [ B.A.v "i"; B.A.v "j" ] * const 2.0) );
                         B.assign b "M" [ B.A.v "i"; B.A.v "j" ] (F.sv "t");
                       ];
-                  ]))));
-    case "writes in both branches are definite" (fun () ->
-        check_true "parallel"
-          (is_parallel
-             (judge (fun b ->
-                  [
-                    Stmt.If
-                      ( Stmt.Icond (Stmt.Lt, B.A.v "i", B.A.c 8),
-                        [ Stmt.Sassign ("t", F.const 1.0) ],
-                        [ Stmt.Sassign ("t", F.const 2.0) ] );
-                    B.assign b "A" [ B.A.v "i" ] (F.sv "t");
                   ]))));
   ]
 
@@ -251,6 +274,69 @@ let verifies_at_4 p =
       (Ccdp_runtime.Verify.against_sequential p ~init:(fun _ -> ()) r)
         .Ccdp_runtime.Verify.ok)
     [ Ccdp_runtime.Memsys.Base; Ccdp_runtime.Memsys.Ccdp ]
+
+(* M and A initialized by two promotable loops q and p, then DO J = 1,14;
+   DO I = 1,14: [body] *)
+let nest_program body =
+  let b = B.create ~name:"nest" () in
+  B.param b "n" 16;
+  B.array_ b "M" [| 16; 16 |] ~dist:(Dist.block_along ~rank:2 ~dim:1);
+  B.array_ b "A" [| 32 |] ~dist:dist1;
+  let open B.A in
+  let p = v "p" in
+  B.finish b
+    [
+      B.for_ b "q" (bc 0) (bc 15)
+        [
+          B.for_ b "p" (bc 0) (bc 15)
+            [ B.assign b "M" [ p; v "q" ] F.((iv "p" * const 0.5) + iv "q") ];
+        ];
+      B.for_ b "p" (bc 0) (bc 31)
+        [ B.assign b "A" [ p ] F.(iv "p" * const 0.25) ];
+      B.for_ b "j" (bc 1) (bc 14) [ B.for_ b "i" (bc 1) (bc 14) (body b) ];
+    ]
+
+let nest_tests =
+  [
+    case "a nested temporary on a diagonal leaves the outer loop serial"
+      (fun () ->
+        (* T = M(i-1,j-1); M(i,j) = T*0.5: iteration j reads the column
+           iteration j-1 writes, although no single dimension pins it *)
+        let p', rep =
+          Parallelize.transform
+            (nest_program (fun b ->
+                 let open B.A in
+                 [
+                   Stmt.Sassign
+                     ("t", B.rd b "M" [ v "i" -! c 1; v "j" -! c 1 ]);
+                   B.assign b "M" [ v "i"; v "j" ] F.(sv "t" * const 0.5);
+                 ]))
+        in
+        Alcotest.(check (list string)) "q, p and i promoted" [ "q"; "p"; "i" ]
+          (promoted_vars rep);
+        (match rejected_verdicts rep with
+        | [ ("j", Parallelize.Carried { array_name = "M"; _ }) ] -> ()
+        | _ -> Alcotest.fail "expected j rejected for a dependence on M");
+        check_true "verified" (verifies_at_4 p'));
+    case "a subscript over an inner variable does not pin the outer one"
+      (fun () ->
+        (* A(i+j) is the same element for (i, j) and (i-1, j+1) *)
+        let p', rep =
+          Parallelize.transform
+            (nest_program (fun b ->
+                 let open B.A in
+                 [
+                   B.assign b "A" [ v "i" +! v "j" ]
+                     F.(B.rd b "A" [ v "i" +! v "j" ] + const 1.0);
+                 ]))
+        in
+        Alcotest.(check (list string)) "q, p and i promoted" [ "q"; "p"; "i" ]
+          (promoted_vars rep);
+        (match rejected_verdicts rep with
+        | [ ("j", Parallelize.Carried { array_name = "A"; _ }) ] -> ()
+        | _ -> Alcotest.fail "expected j rejected for a dependence on A");
+        check_true "verified" (verifies_at_4 p'));
+  ]
 
 let precision_tests =
   [
@@ -367,32 +453,53 @@ let corpus_tests =
         check_true "the corpus promotes loops" (!promoted > 0));
     case "random affine loops re-promote and verify" (fun () ->
         (* generated programs carry no dependence the test could miss, so
-           draw loops that do: DO I = lo, hi with one to three statements
-           over X, Y and a scalar T, every subscript c*i + k in bounds
-           (c in -1..2), and sometimes a read of T after the loop;
-           whatever is promoted must verify *)
+           draw loops that do: DO I over 1-D X, Y, or a nest DO J; DO I
+           over 2-D ones, the outer loop sometimes with step 2, with one
+           to three statements over X, Y and a scalar T (a nest sometimes
+           sets T before its inner loop), every subscript dimension
+           a*i + b*j + k in bounds (a in -1..2, b in -1..1 in a nest), and
+           sometimes a read of T after the loop; whatever is promoted must
+           verify *)
         let rng = Random.State.make [| 3 |] in
         let r = Random.State.int rng in
-        let programs = 1000 and promoted = ref 0 in
+        let programs = 1000 and nests = ref 0 in
+        let singles = ref 0 and outers = ref 0 and inners = ref 0 in
         for _ = 1 to programs do
+          let nest = r 2 = 0 in
+          let n = if nest then 12 else 24 in
+          let rank = if nest then 2 else 1 in
           let b = B.create ~name:"affine" () in
-          B.param b "n" 24;
-          B.array_ b "X" [| 24 |] ~dist:dist1;
-          B.array_ b "Y" [| 24 |] ~dist:dist1;
+          B.param b "n" n;
+          let dist = Dist.block_along ~rank ~dim:(rank - 1) in
+          B.array_ b "X" (Array.make rank n) ~dist;
+          B.array_ b "Y" (Array.make rank n) ~dist;
           let open B.A in
-          let lo = r 4 in
-          let hi = lo + 4 + r 8 in
-          let rec sub () =
-            let co = [| -1; 0; 1; 1; 2 |].(r 5) in
-            let kmin = -min (co * lo) (co * hi)
-            and kmax = 23 - max (co * lo) (co * hi) in
-            if kmax < kmin then sub ()
-            else (co *! v "i") +! c (kmin + r (kmax - kmin + 1))
+          let range () =
+            let lo = r 4 in
+            (lo, lo + 2 + r (n - 9))
           in
+          let ilo, ihi = range () in
+          let jlo, jhi = if nest then range () else (0, 0) in
+          (* the step of the loop judged first: J in a nest, else I *)
+          let step = if r 3 = 0 then 2 else 1 in
+          let rec dim () =
+            let a = [| -1; 0; 1; 1; 2 |].(r 5) in
+            let bj = if nest then r 3 - 1 else 0 in
+            let lo_hi co lo hi =
+              (min (co * lo) (co * hi), max (co * lo) (co * hi))
+            in
+            let amin, amax = lo_hi a ilo ihi
+            and bmin, bmax = lo_hi bj jlo jhi in
+            let kmin = -(amin + bmin) and kmax = n - 1 - (amax + bmax) in
+            if kmax < kmin then dim ()
+            else
+              (a *! v "i") +! (bj *! v "j") +! c (kmin + r (kmax - kmin + 1))
+          in
+          let sub () = List.init rank (fun _ -> dim ()) in
           let read () =
             match r 3 with
             | 0 -> F.sv "t"
-            | k -> B.rd b (if k = 1 then "X" else "Y") [ sub () ]
+            | k -> B.rd b (if k = 1 then "X" else "Y") (sub ())
           in
           let stmt () =
             match r 4 with
@@ -400,32 +507,58 @@ let corpus_tests =
             | k ->
                 let dst = if k = 1 then "X" else "Y" in
                 let s = sub () in
-                B.assign b dst [ s ] F.((read () * const 0.5) + read ())
+                B.assign b dst s F.((read () * const 0.5) + read ())
+          in
+          let body = List.init (1 + r 3) (fun _ -> stmt ()) in
+          let init, loop =
+            let last = bc (n - 1) in
+            let idx, fj =
+              if nest then ([ v "i"; v "j" ], F.iv "j")
+              else ([ v "i" ], F.const 0.0)
+            in
+            let fill =
+              B.for_ b "i" (bc 0) last
+                [
+                  B.assign b "X" idx F.((iv "i" * const 0.125) + fj);
+                  B.assign b "Y" idx F.((iv "i" * const 0.0625) - fj);
+                ]
+            in
+            if nest then begin
+              incr nests;
+              let set_t =
+                if r 2 = 0 then [ Stmt.Sassign ("t", F.(iv "j" * const 0.25)) ]
+                else []
+              in
+              ( B.for_ b "j" (bc 0) last [ fill ],
+                B.for_ b ~step "j" (bc jlo) (bc jhi)
+                  (set_t @ [ B.for_ b "i" (bc ilo) (bc ihi) body ]) )
+            end
+            else (fill, B.for_ b ~step "i" (bc ilo) (bc ihi) body)
           in
           let p =
             B.finish b
-              ([
-                 Stmt.Sassign ("t", F.const 0.75);
-                 B.for_ b "i" (bc 0) (bc 23)
-                   [
-                     B.assign b "X" [ v "i" ] F.(iv "i" * const 0.125);
-                     B.assign b "Y" [ v "i" ] F.(iv "i" * const 0.0625);
-                   ];
-                 B.for_ b "i" (bc lo) (bc hi)
-                   (List.init (1 + r 3) (fun _ -> stmt ()));
-               ]
-              @ if r 3 = 0 then [ B.assign b "Y" [ c 0 ] (F.sv "t") ] else [])
+              ([ Stmt.Sassign ("t", F.const 0.75); init; loop ]
+              @
+              if r 3 = 0 then
+                [ B.assign b "Y" (List.init rank (fun _ -> c 0)) (F.sv "t") ]
+              else [])
           in
           let p', rep = Parallelize.transform p in
-          (* the initialization loop is always promoted *)
-          if List.length rep.Parallelize.promoted = 2 then incr promoted;
+          (* the initialization loop is always promoted first *)
+          (match rep.Parallelize.promoted with
+          | [ _; (_, "j") ] -> incr outers
+          | [ _; _ ] -> incr (if nest then inners else singles)
+          | _ -> ());
           if not (verifies_at_4 p') then
             Alcotest.failf "promoted program does not verify:@.@[<v>%a@]"
               Stmt.pp_list p.Program.main
         done;
-        Printf.printf "%d programs: %d second loops promoted\n" programs
-          !promoted;
-        check_true "some loops are promoted" (!promoted > 0));
+        Printf.printf
+          "%d programs, %d nests: %d single loops, %d outer and %d inner \
+           nest loops promoted\n"
+          programs !nests !singles !outers !inners;
+        check_true "every shape is promoted somewhere"
+          (!singles > 0 && !outers > 0 && !inners > 0));
   ]
 
 (* ---- end-to-end: auto-parallelize a sequential stencil ---- *)
@@ -540,6 +673,7 @@ let () =
       ("dependence", dependence_tests);
       ("scalars", scalar_tests);
       ("precision", precision_tests);
+      ("nests", nest_tests);
       ("corpus", corpus_tests);
       ("transform", transform_tests);
     ]
